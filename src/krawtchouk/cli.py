@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +37,7 @@ from .identities import (
 )
 from .matrices import (
     build_matrix,
+    clear_memo,
     closed_form_row1_col01,
     verify_binomial_conjugation,
     verify_involution,
@@ -55,6 +57,26 @@ SUITE_NAMES = [
     "pascal", "recurrence", "involution", "symmetries", "rows-cols",
     "conjugation", "sums", "catalan", "supercatalan", "zeon", "all",
 ]
+
+
+# a negative rational such as -5/9, which argparse would read as an option
+NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
+
+
+def join_negative_r(argv: list[str]) -> list[str]:
+    """Rewrite '--r -5/9' as '--r=-5/9', so that argparse reads it as a value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--r" and NEGATIVE_RATIONAL.fullmatch(token):
+            out[-1] = f"--r={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker processes for --jobs: never more than the CPUs or the tasks."""
+    return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -300,8 +322,9 @@ def cmd_verify(args) -> int:
     tasks = _build_tasks(args.suite, args.max_n, args.r)
     if args.inject_fault:
         tasks.append((_t_injected_fault, ()))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = pool_size(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_task, tasks))
     else:
         reports = [_run_task(t) for t in tasks]
@@ -353,7 +376,8 @@ def cmd_zeon(args) -> int:
         try:
             i = int(idx)
         except ValueError:
-            raise SystemExit(2)
+            sys.stderr.write(f"error: operator index in {token!r} is not an integer\n")
+            return 2
         M = raise_op(n, i) if kind == "raise" else lower_op(n, i)
         name = token
     else:
@@ -449,7 +473,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(join_negative_r(sys.argv[1:] if argv is None else argv))
     if args.command == "matrix" and args.n < 0:
         parser.error("--n must be nonnegative")
     if args.command == "verify":
@@ -466,6 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        clear_memo()  # a later command reuses nothing, so keep no matrix alive
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import binomial, catalan, super_catalan
@@ -16,14 +15,6 @@ from .matrices import KrawtchoukMatrix, build_matrix
 from .report import IdentityReport
 
 ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class PartialSumParams:
-    N: int
-    j: int
-    m: int
-    r: Fraction = ONE
 
 
 def _coeff(M: KrawtchoukMatrix, n: int, j: int) -> Fraction:

@@ -4,12 +4,16 @@ Column j of the (N+1) x (N+1) matrix holds the coefficient sequence of
 (1+z)^(N-j) (1-rz)^j, expanded by exact polynomial convolution. Rows are
 indexed by degree n, columns by evaluation point j. The symmetric case is
 r = 1, where every entry is an integer.
+
+Built matrices are memoized on (N, r): the identities relate neighbouring
+levels, so a verification sweep asks for the same level many times. The CLI
+clears the memo when a command returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .combinatorics import binomial
 from .report import IdentityReport
@@ -75,11 +79,23 @@ class KrawtchoukMatrix:
         return all(v.denominator == 1 for row in self.entries for v in row)
 
 
+# Bound on the memo. It holds one sweep's working set: verify --suite all
+# --max-n 12 with seven r builds 110 distinct (N, r). The suites scan their
+# levels cyclically, so an LRU smaller than the working set misses almost
+# every time (64 entries: 287 misses instead of 110).
+MEMO_SIZE = 256
+
+
 def build_matrix(N: int, r) -> KrawtchoukMatrix:
-    """Expand (1+z)^(N-j) (1-rz)^j for each column j, by exact convolution."""
+    """The level-N matrix for parameter r, shared by every call with the same (N, r)."""
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    r = Fraction(r)
+    return _expand(N, Fraction(r))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _expand(N: int, r: Fraction) -> KrawtchoukMatrix:
+    """Expand (1+z)^(N-j) (1-rz)^j for each column j, by exact convolution."""
     columns = []
     for j in range(N + 1):
         poly = [Fraction(1)]
@@ -91,6 +107,11 @@ def build_matrix(N: int, r) -> KrawtchoukMatrix:
         columns.append(poly)
     entries = tuple(tuple(columns[j][n] for j in range(N + 1)) for n in range(N + 1))
     return KrawtchoukMatrix(N=N, r=r, entries=entries)
+
+
+# Drops every memoized matrix. Clear through the inner function: wrappers that
+# replace build_matrix (tracers, profilers) do not carry cache_clear.
+clear_memo = _expand.cache_clear
 
 
 def entry(M: KrawtchoukMatrix, n: int, j: int) -> Fraction:

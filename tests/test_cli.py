@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from krawtchouk.cli import main
+from krawtchouk import cli
+from krawtchouk.cli import main, pool_size
 
 
 def run(capsys, *argv):
@@ -53,6 +54,23 @@ def test_matrix_negative_n_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--n", "-1"])
     assert exc.value.code == 2
+
+
+def test_matrix_negative_rational_in_both_forms(capsys):
+    code, spaced, _ = run(capsys, "matrix", "--n", "2", "--r", "-5/9", "--format", "csv")
+    assert code == 0
+    assert spaced == "# krawtchouk N=2 r=-5/9\n1,1,1\n2,14/9,10/9\n1,5/9,25/81\n"
+    code, joined, _ = run(capsys, "matrix", "--n", "2", "--r=-5/9", "--format", "csv")
+    assert code == 0 and joined == spaced
+
+
+def test_verify_negative_rational_in_both_forms(capsys):
+    args = ("verify", "--suite", "pascal", "--max-n", "3", "--format", "json")
+    code, spaced, _ = run(capsys, *args, "--r", "-5/9", "--r", "2")
+    assert code == 0
+    assert json.loads(spaced)["invocation"]["r"] == ["-5/9", "2/1"]
+    code, joined, _ = run(capsys, *args, "--r=-5/9", "--r", "2")
+    assert code == 0 and joined == spaced
 
 
 def test_verify_pascal_exit_zero(capsys):
@@ -125,6 +143,35 @@ def test_zeon_raise_lower_tokens(capsys):
     assert code == 0 and len(json.loads(out)["entries"]) == 4
     code, out, _ = run(capsys, "zeon", "--n", "3", "--op", "lower:2", "--format", "json")
     assert code == 0 and len(json.loads(out)["entries"]) == 4
+
+
+def test_zeon_non_integer_index_exits_2_with_message(capsys):
+    for token in ("raise:x", "lower:x"):
+        code, out, err = run(capsys, "zeon", "--n", "3", "--op", token)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and token in err
+
+
+def test_pool_size_is_clamped_to_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert pool_size(1, 50) == 1
+    assert pool_size(3, 50) == 3
+    assert pool_size(10**6, 50) == 4
+    assert pool_size(10**6, 2) == 2
+    assert pool_size(2, 0) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert pool_size(8, 50) == 1
+
+
+def test_verify_reports_the_requested_jobs(capsys, monkeypatch):
+    # one CPU: the pool is clamped away and the tasks run in this process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    base = ("verify", "--suite", "symmetries", "--max-n", "4", "--format", "json")
+    _, sequential, _ = run(capsys, *base)
+    code, clamped, _ = run(capsys, *base, "--jobs", "64")
+    assert code == 0
+    assert json.loads(clamped)["invocation"]["jobs"] == 64
+    assert json.loads(clamped)["suites"] == json.loads(sequential)["suites"]
 
 
 def test_zeon_bad_token_exits_2(capsys):

@@ -1,8 +1,14 @@
 """Tests for Krawtchouk matrix construction and structural identities."""
+import functools
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from krawtchouk import matrices
+from krawtchouk.cli import main
 from krawtchouk.combinatorics import binomial
 from krawtchouk.matrices import (
     RParameter,
@@ -184,3 +190,67 @@ def test_binomial_conjugation_spot_values():
 def test_binomial_diagonal():
     assert binomial_diagonal(4) == (1, 4, 6, 4, 1)
     assert all(v > 0 for v in binomial_diagonal(9))
+
+
+# ---------------------------------------------------------------------------
+# the (N, r) memo
+# ---------------------------------------------------------------------------
+
+def binomial_sum_oracle(N, r):
+    """K[n][j] = sum_k C(N-j, n-k) C(j, k) (-r)^k, independent of the builder."""
+    return tuple(
+        tuple(
+            sum((comb(N - j, n - k) * comb(j, k) * (-r) ** k for k in range(min(n, j) + 1)),
+                Fraction(0))
+            for j in range(N + 1)
+        )
+        for n in range(N + 1)
+    )
+
+
+EXACT_R = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    st.sampled_from([Fraction(-1), Fraction(-999, 1000), Fraction(-1001, 1000),
+                     Fraction(-1, 1) + Fraction(1, 10**9)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(min_value=0, max_value=20), r=EXACT_R)
+def test_build_matches_binomial_sum_oracle(N, r):
+    M = build_matrix(N, r)
+    assert M.N == N and M.r == r
+    assert M.entries == binomial_sum_oracle(N, r)
+
+
+def test_repeat_call_returns_the_memoized_matrix():
+    M = build_matrix(7, 1)
+    assert build_matrix(7, Fraction(1)) is M
+    assert build_matrix(7, 2) is not M
+
+
+def test_memo_is_empty_after_a_command(capsys):
+    build_matrix(3, 1)
+    assert main(["verify", "--suite", "pascal", "--max-n", "3"]) == 0
+    assert matrices._expand.cache_info().currsize == 0
+
+
+def test_command_clears_the_memo_when_build_matrix_is_wrapped(capsys, monkeypatch):
+    # tracers replace build_matrix in every module by a wrapper without cache_clear
+    original = matrices.build_matrix
+    calls = []
+
+    @functools.wraps(original)
+    def traced(N, r):
+        calls.append((N, r))
+        return original(N, r)
+
+    for name, module in list(sys.modules.items()):
+        if name == "krawtchouk" or name.startswith("krawtchouk."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, traced)
+    assert not hasattr(traced, "cache_clear")
+    assert main(["verify", "--suite", "sums", "--max-n", "4"]) == 0
+    assert len(calls) > len(set(calls))  # the suite asks for levels again
+    assert matrices._expand.cache_info().currsize == 0
