@@ -16,6 +16,7 @@ from .algebra import (
     AlgebraStats,
     ComponentSpec,
     Family,
+    algebra_stats,
     analyze_family,
     center_dimension,
     centralizer_dimension,
@@ -44,6 +45,7 @@ __all__ = [
     "ComponentSpec",
     "Family",
     "analyze_family",
+    "algebra_stats",
     "span_closure_dimension",
     "centralizer_dimension",
     "center_dimension",

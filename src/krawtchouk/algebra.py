@@ -3,9 +3,12 @@
 For a set of integer (or rational) generator matrices this module computes
 the degree d, the dimension delta of the generated unital algebra, the
 dimension zeta of its centralizer, and the dimension z of its center, all
-by exact elimination over the rationals (performed fraction-free on
-integers). The three operator families over the Boolean lattice are wired
-up here together with their closed-form predictions.
+exactly over the rationals (fraction-free, on integers). When the generator
+set is closed under transpose, zeta and the simple components come from the
+Wedderburn blocks of one central element; otherwise, or when a certificate
+of that path fails, zeta comes from eliminating the d^2-unknown commutant
+system. The three operator families over the Boolean lattice are wired up
+here together with their closed-form predictions.
 """
 from __future__ import annotations
 
@@ -69,19 +72,24 @@ class ComponentSpec:
 # sparse exact linear algebra on rows represented as {column: value} dicts
 # ---------------------------------------------------------------------------
 
-def _as_rows(mat) -> tuple[int, dict[int, dict[int, Fraction | int]]]:
-    """Normalize a generator (ZeonMatrix or nested sequence) to (size, rows)."""
+def _as_rows(mat) -> tuple[int, dict[int, dict[int, int]]]:
+    """Normalize a generator (ZeonMatrix or nested sequence) to (size, integer rows).
+
+    A rational generator is scaled by the lcm of its denominators: a nonzero
+    multiple of a generator generates the same algebra, centralizer and center.
+    """
     if hasattr(mat, "rows") and hasattr(mat, "size"):
         return mat.size, {i: dict(r) for i, r in mat.rows.items() if r}
     d = len(mat)
-    rows: dict[int, dict[int, Fraction | int]] = {}
+    rows: dict[int, dict[int, Fraction]] = {}
     for i, row in enumerate(mat):
         if len(row) != d:
             raise ValueError("generator matrices must be square")
         vals = {j: Fraction(v) for j, v in enumerate(row) if v != 0}
         if vals:
             rows[i] = vals
-    return d, rows
+    denom = math.lcm(*(v.denominator for r in rows.values() for v in r.values()))
+    return d, {i: {j: int(v * denom) for j, v in r.items()} for i, r in rows.items()}
 
 
 def _mat_mul(d: int, A: dict, B: dict) -> dict:
@@ -119,19 +127,30 @@ def _identity_rows(d: int) -> dict:
     return {i: {i: 1} for i in range(d)}
 
 
-def _vectorize(d: int, rows: dict) -> dict[int, int]:
-    """Row-major vectorization, denominators cleared to give an integer vector."""
-    vec: dict[int, Fraction | int] = {}
-    for i, row in rows.items():
+def _transpose(A: dict) -> dict:
+    out: dict[int, dict[int, int]] = {}
+    for i, row in A.items():
         for j, v in row.items():
-            vec[i * d + j] = v
-    denom = 1
-    for v in vec.values():
-        if isinstance(v, Fraction) and v.denominator != 1:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    if denom != 1:
-        return {c: int(v * denom) for c, v in vec.items()}
-    return {c: int(v) for c, v in vec.items()}
+            out.setdefault(j, {})[i] = v
+    return out
+
+
+def _combine(coeffs: dict[int, int], mats: list[dict]) -> dict:
+    """The matrix sum of coeffs[k] * mats[k]."""
+    out: dict[int, dict[int, int]] = {}
+    for k, a in coeffs.items():
+        for i, row in mats[k].items():
+            acc = out.setdefault(i, {})
+            for j, v in row.items():
+                acc[j] = acc.get(j, 0) + a * v
+    cleaned = {i: {j: v for j, v in row.items() if v != 0} for i, row in out.items()}
+    return {i: row for i, row in cleaned.items() if row}
+
+
+def _vectorize(d: int, rows: dict, cols: set[int] | None = None) -> dict[int, int]:
+    """Row-major vectorization, keeping only the columns in ``cols`` when given."""
+    return {i * d + j: v for i, row in rows.items() for j, v in row.items()
+            if cols is None or j in cols}
 
 
 def _normalize(vec: dict[int, int]) -> dict[int, int]:
@@ -179,6 +198,20 @@ class ExactEchelon:
                     new[c] = w
             vec = _normalize(new) if new else new
         return False
+
+
+def _relations(vectors, width: int) -> list[dict[int, int]]:
+    """Basis of the integer relations sum_k x[k] * vectors[k] = 0, as {k: x[k]}.
+
+    Each vector gets a tag column width + k before it enters one echelon; the
+    pivots whose lead is a tag column have no part left below ``width``, and
+    they form an echelon basis of the relations (each has its own leading k).
+    """
+    ech = ExactEchelon()
+    for k, vec in enumerate(vectors):
+        ech.insert({**vec, width + k: 1})
+    return [{c - width: v for c, v in piv.items() if c >= width}
+            for lead, piv in sorted(ech.pivots.items()) if lead >= width]
 
 
 def _eliminate_singletons(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
@@ -229,16 +262,17 @@ def span_closure_basis(generators, unital: bool = True) -> tuple[int, list[dict]
     closed under products of arbitrary elements by linearity.
     """
     d, gens = _prepare(generators)
-    return d, _span_closure(d, gens, unital)
+    return d, _span_closure(d, gens, ([_identity_rows(d)] if unital else []) + gens)
 
 
-def _span_closure(d: int, gens: list[dict], unital: bool = True) -> list[dict]:
+def _span_closure(d: int, gens: list[dict], seed: list[dict],
+                  cols: set[int] | None = None) -> list[dict]:
+    """Basis of the span of seed * words in gens; ``cols`` as in _vectorize."""
     ech = ExactEchelon()
     basis: list[dict] = []
-    seed = ([_identity_rows(d)] if unital else []) + gens
     frontier: list[dict] = []
     for m in seed:
-        if ech.insert(_vectorize(d, m)):
+        if ech.insert(_vectorize(d, m, cols)):
             basis.append(m)
             frontier.append(m)
     while frontier:
@@ -246,7 +280,7 @@ def _span_closure(d: int, gens: list[dict], unital: bool = True) -> list[dict]:
         for m in frontier:
             for g in gens:
                 prod = _mat_mul(d, m, g)
-                if ech.insert(_vectorize(d, prod)):
+                if ech.insert(_vectorize(d, prod, cols)):
                     basis.append(prod)
                     fresh.append(prod)
         frontier = fresh
@@ -260,10 +294,7 @@ def span_closure_dimension(generators, unital: bool = True) -> int:
 
 def _commutator_rows(d: int, A: dict) -> list[dict[int, int]]:
     """Constraint rows of X A - A X = 0 in the d^2 unknowns X[k][l] (row-major)."""
-    cols: dict[int, dict[int, int]] = {}
-    for i, row in A.items():
-        for j, v in row.items():
-            cols.setdefault(j, {})[i] = v
+    cols = _transpose(A)
     out: list[dict[int, int]] = []
     for i in range(d):
         arow = A.get(i, {})
@@ -305,17 +336,7 @@ def centralizer_dimension(generators) -> int:
     rows: list[dict[int, int]] = []
     for g in _augment_constraints(d, gens):
         rows.extend(_commutator_rows(d, g))
-    # integer-scale any rational rows
-    scaled = []
-    for row in rows:
-        denom = 1
-        for v in row.values():
-            if isinstance(v, Fraction) and v.denominator != 1:
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        if denom != 1:
-            row = {c: int(v * denom) for c, v in row.items()}
-        scaled.append(row)
-    eliminated, remaining = _eliminate_singletons(scaled)
+    eliminated, remaining = _eliminate_singletons(rows)
     remaining.sort(key=len)
     ech = ExactEchelon()
     for row in remaining:
@@ -327,18 +348,128 @@ def centralizer_dimension(generators) -> int:
 def center_dimension(generators) -> int:
     """Dimension of the center: algebra elements commuting with all generators."""
     d, gens = _prepare(generators)
-    basis = _span_closure(d, gens, unital=True)
-    ech = ExactEchelon()
-    rank = 0
-    for b in basis:
-        constraint: dict[int, int] = {}
+    return len(_center_basis(d, gens, _span_closure(d, gens, [_identity_rows(d)] + gens)))
+
+
+def _center_basis(d: int, gens: list[dict], basis: list[dict]) -> list[dict[int, int]]:
+    """Center of span(basis), as coefficient vectors over the basis.
+
+    One tagged echelon pass over the commutators [b_k, g] of every basis
+    element with every generator; the relations among them are the center.
+    """
+    def commutators(b):
+        vec: dict[int, int] = {}
         for idx, g in enumerate(gens):
             comm = _mat_sub(_mat_mul(d, b, g), _mat_mul(d, g, b))
             for c, v in _vectorize(d, comm).items():
-                constraint[idx * d * d + c] = v
-        if ech.insert(constraint):
-            rank += 1
-    return len(basis) - rank
+                vec[idx * d * d + c] = v
+        return vec
+
+    return _relations(map(commutators, basis), len(gens) * d * d)
+
+
+# ---------------------------------------------------------------------------
+# Wedderburn blocks of a central element
+# ---------------------------------------------------------------------------
+#
+# A generator set closed under transpose generates a *-algebra A, which is
+# semisimple: A = sum_i M_{d_i}, the i-th block acting on V = Q^d with
+# multiplicity m_i. Every central element acts as a scalar lambda_i on block
+# i. If c = s + s^T (central and symmetric, so its eigenvalues are real) has
+# z distinct eigenvalues, all rational, they separate the z blocks: the
+# lambda_i-eigenspace W_i of c on V has dimension m_i d_i, and A restricted
+# to W_i is the block M_{d_i}, of dimension d_i^2. Then zeta = sum m_i^2.
+
+def _roots_above(poly: list[int], a: int) -> int:
+    """Roots of poly (coefficients low to high) above a, counted by Descartes'
+    rule of signs on poly(x + a); exact because every root is real."""
+    q = list(poly)
+    for i in range(len(q) - 1):  # Taylor shift by a, in place
+        for k in range(len(q) - 2, i - 1, -1):
+            q[k] += a * q[k + 1]
+    signs = [v > 0 for v in q if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _integer_roots(poly: list[int], bound: int) -> list[int] | None:
+    """The roots in [-bound, bound] of a real-rooted squarefree polynomial,
+    ascending, or None if one of them is not an integer.
+
+    Bisects integer intervals (lo, hi] until each holds at most one root; a
+    root alone in (hi - 1, hi] is an integer iff it is hi.
+    """
+    roots: list[int] = []
+    stack = [(-bound - 1, bound, _roots_above(poly, -bound - 1), _roots_above(poly, bound))]
+    while stack:
+        lo, hi, above_lo, above_hi = stack.pop()
+        if above_lo == above_hi:
+            continue
+        if hi - lo == 1:
+            if above_lo - above_hi > 1 or sum(c * hi**k for k, c in enumerate(poly)) != 0:
+                return None
+            roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        above_mid = _roots_above(poly, mid)
+        stack += [(mid, hi, above_mid, above_hi), (lo, mid, above_lo, above_mid)]
+    return roots
+
+
+def _wedderburn_components(d: int, gens: list[dict], basis: list[dict],
+                           center: list[dict[int, int]]) -> ComponentSpec | None:
+    """The (m_i, d_i) blocks of the algebra, one per eigenvalue of a central
+    c = s + s^T; None when a certificate of that decomposition fails."""
+    if any(_transpose(g) not in gens for g in gens):
+        return None  # not a *-algebra: semisimplicity is not guaranteed
+    z, delta = len(center), len(basis)
+    weights: dict[int, int] = {}
+    for w, element in enumerate(center, start=1):
+        for k, v in element.items():
+            weights[k] = weights.get(k, 0) + w * v
+    s = _combine(weights, basis)
+    c = _combine({0: 1, 1: 1}, [s, _transpose(s)])
+    powers = [_identity_rows(d)]
+    for _ in range(z):
+        powers.append(_mat_mul(d, powers[-1], c))
+    minpolys = _relations((_vectorize(d, p) for p in powers), d * d)
+    if len(minpolys) != 1:
+        return None  # deg minpoly < z: c does not separate the blocks
+    poly = [minpolys[0].get(k, 0) for k in range(z + 1)]
+    bound = max((sum(map(abs, row.values())) for row in c.values()), default=0)
+    roots = _integer_roots(poly, bound)  # |eigenvalue| <= max row sum
+    if roots is None or len(roots) != z:
+        return None  # the center does not split over Q
+    comps = []
+    for lam in roots:
+        shifted = _mat_sub(c, {i: {i: lam} for i in range(d)})
+        # c is symmetric, so its kernel is the relations among its rows
+        kernel = _relations((shifted.get(i, {}) for i in range(d)), d)
+        if z == delta:
+            block = 1  # commutative: every block is 1 x 1
+        else:
+            # rows of W^T * word lie in W_i, where an echelon basis is fixed
+            # by its entries at the leads; the span of the words is A on W_i
+            leads = {min(v) for v in kernel}
+            block_dim = len(_span_closure(d, gens, [dict(enumerate(kernel))], leads))
+            block = math.isqrt(block_dim)
+            if block * block != block_dim or len(kernel) % block:
+                return None
+        comps.append((len(kernel) // block, block))
+    spec = ComponentSpec(tuple(comps))
+    if spec.degree_sum != d or spec.dimension != delta:
+        return None
+    return spec
+
+
+def algebra_stats(generators) -> tuple[AlgebraStats, ComponentSpec | None]:
+    """(d, delta, zeta, z) of the generated unital algebra, and its computed
+    components, or None for them when zeta came from the commutant elimination."""
+    d, gens = _prepare(generators)
+    basis = _span_closure(d, gens, [_identity_rows(d)] + gens)
+    center = _center_basis(d, gens, basis)
+    comps = _wedderburn_components(d, gens, basis, center)
+    zeta = comps.centralizer_dim if comps else centralizer_dimension(generators)
+    return AlgebraStats(d=d, delta=len(basis), zeta=zeta, z=len(center)), comps
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +584,10 @@ class AlgebraComparison:
     components: ComponentSpec
     matches: dict[str, bool] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    # (m_i, d_i) per Wedderburn block, ascending by the eigenvalue that
+    # separated it; None when zeta came from the commutant elimination.
+    # Library only: to_json and the CLI text leave it out.
+    computed_components: ComponentSpec | None = None
 
     @property
     def ok(self) -> bool:
@@ -481,8 +616,7 @@ class AlgebraComparison:
 def analyze_family(family: Family, n: int, allow_large: bool = False) -> AlgebraComparison:
     """Compute the four statistics for one operator family and compare.
 
-    The exact path is guaranteed for n <= 5; n = 6 requires allow_large
-    (runtime grows as 4^n unknowns in the commutant system).
+    The default budget is n <= 5; n = 6 requires allow_large.
     """
     limit = LARGE_MAX_N if allow_large else DEFAULT_MAX_N
     if n > limit:
@@ -490,16 +624,12 @@ def analyze_family(family: Family, n: int, allow_large: bool = False) -> Algebra
             f"n={n} exceeds the exact-computation budget ({limit}); "
             + ("" if allow_large else "pass allow_large to permit n=6")
         )
-    gens = family_generators(family, n)
-    d = 1 << n
-    delta = span_closure_dimension(gens)
-    zeta = centralizer_dimension(gens)
-    z = center_dimension(gens)
-    computed = AlgebraStats(d=d, delta=delta, zeta=zeta, z=z)
+    computed, computed_components = algebra_stats(family_generators(family, n))
     predicted, comps = predicted_stats(family, n)
 
     comparison = AlgebraComparison(
-        family=family, n=n, computed=computed, predicted=predicted, components=comps
+        family=family, n=n, computed=computed, predicted=predicted, components=comps,
+        computed_components=computed_components,
     )
     m = comparison.matches
     m["d"] = computed.d == predicted.d

@@ -160,8 +160,13 @@ def verify_recurrence_j(N: int, r) -> IdentityReport:
     return rep
 
 
-def verify_involution(N: int) -> bool:
-    """True iff the symmetric matrix squares to 2^N times the identity."""
+def verify_involution(N: int) -> IdentityReport:
+    """One case: the symmetric matrix squares to 2^N times the identity.
+
+    A failure names the first offending entry (i, j), the product entry and
+    2^N delta_ij.
+    """
+    rep = IdentityReport(suite=f"involution N={N}")
     M = build_matrix(N, Fraction(1))
     two_N = Fraction(2) ** N
     for i in range(N + 1):
@@ -169,8 +174,10 @@ def verify_involution(N: int) -> bool:
             prod = sum(M.entries[i][k] * M.entries[k][j] for k in range(N + 1))
             expected = two_N if i == j else Fraction(0)
             if prod != expected:
-                return False
-    return True
+                rep.record((i, j), prod, expected)
+                return rep
+    rep.record_bool((N,), True)
+    return rep
 
 
 def verify_sign_symmetries(N: int) -> IdentityReport:

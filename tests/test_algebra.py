@@ -2,12 +2,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krawtchouk.algebra import (
     AlgebraStats,
     BudgetError,
     ComponentSpec,
     Family,
+    algebra_stats,
     analyze_family,
     center_dimension,
     centralizer_dimension,
@@ -173,3 +175,103 @@ def test_analyze_tt_n2_three_way():
     assert comparison.predicted.z == 2
     assert comparison.components.count == 4
     assert any("stated z differs" in note for note in comparison.notes)
+
+
+# ---------------------------------------------------------------------------
+# Wedderburn path against the elimination
+# ---------------------------------------------------------------------------
+
+NILPOTENT = [[0, 1], [0, 0]]
+ROTATION = [[0, -1], [1, 0]]  # its algebra is Q(i): the center does not split over Q
+
+
+def _dense(rows, d):
+    return [[Fraction(rows.get(i, {}).get(j, 0)) for j in range(d)] for i in range(d)]
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def center_by_definition(gens):
+    """delta minus the rank of b -> ([b, g] for every generator g), densely."""
+    d, basis = span_closure_basis(gens)
+    dense_gens = [[[Fraction(v) for v in row] for row in g] for g in gens]
+    rows = []
+    for b in basis:
+        B = _dense(b, d)
+        row = []
+        for G in dense_gens:
+            BG, GB = _matmul(B, G), _matmul(G, B)
+            row += [x - y for r1, r2 in zip(BG, GB) for x, y in zip(r1, r2)]
+        rows.append(row)
+    return len(basis) - _rank(rows)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_computed_components_equal_the_predicted_ones(family):
+    for n in range(1, 7):
+        comparison = analyze_family(family, n, allow_large=True)
+        _, predicted = predicted_stats(family, n)
+        computed = comparison.computed_components
+        assert computed is not None, (family, n)  # the Wedderburn path ran, no fallback
+        assert sorted(computed.components) == sorted(predicted.components), (family, n)
+        assert "computed_components" not in comparison.to_json()
+
+
+SMALL_MATRIX = st.integers(min_value=1, max_value=6).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                       min_size=d, max_size=d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=SMALL_MATRIX, symmetric=st.booleans())
+def test_wedderburn_path_agrees_with_elimination(M, symmetric):
+    Mt = [list(col) for col in zip(*M)]
+    if symmetric:
+        gens = [[[a + b for a, b in zip(r, rt)] for r, rt in zip(M, Mt)]]
+    else:
+        gens = [M, Mt]
+    stats, comps = algebra_stats(gens)
+    assert stats.delta == span_closure_dimension(gens)
+    assert stats.zeta == centralizer_dimension(gens)
+    assert stats.z == center_dimension(gens) == center_by_definition(gens)
+    if comps is not None:
+        assert comps.count == stats.z and comps.degree_sum == stats.d
+        assert comps.dimension == stats.delta and comps.centralizer_dim == stats.zeta
+
+
+@pytest.mark.parametrize("gens", [
+    [NILPOTENT],  # not closed under transpose
+    [ROTATION, [list(col) for col in zip(*ROTATION)]],  # closed, but the center is Q(i)
+], ids=["nilpotent", "rotation"])
+def test_fallback_returns_the_elimination_values(gens):
+    stats, comps = algebra_stats(gens)
+    assert comps is None
+    assert stats == AlgebraStats(d=2, delta=2, zeta=centralizer_dimension(gens),
+                                 z=center_by_definition(gens))
+    assert stats.zeta == 2 and stats.z == 2
+
+
+def test_nested_list_and_rational_generators_reach_the_elimination():
+    # integral Fractions from nested lists once reached math.gcd and raised TypeError
+    assert centralizer_dimension([NILPOTENT]) == 2
+    assert centralizer_dimension([ROTATION]) == 2
+    assert centralizer_dimension([[[Fraction(1, 2), 1], [0, Fraction(1, 3)]]]) == 2
+    rational = [[[Fraction(1, 2), 0, 1], [0, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 3]]]
+    assert center_dimension(rational) == center_by_definition(rational)

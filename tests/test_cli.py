@@ -217,3 +217,17 @@ def test_env_var_default_format(capsys, monkeypatch):
     code, out, _ = run(capsys, "matrix", "--n", "1", "--r", "1")
     assert code == 0
     assert json.loads(out)["N"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--n", str(cli.MAX_MATRIX_N + 1)],
+    ["verify", "--suite", "pascal", "--max-n", str(cli.MAX_VERIFY_N + 1)],
+], ids=["matrix", "verify"])
+def test_sizes_above_the_budget_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds the budget" in err
+
+
+def test_benchmark_sizes_are_inside_the_budget():
+    assert cli.MAX_MATRIX_N >= 80 and cli.MAX_VERIFY_N >= 12

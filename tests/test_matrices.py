@@ -151,7 +151,22 @@ def test_recurrence_holds(r):
 
 def test_involution():
     for N in range(13):
-        assert verify_involution(N)
+        assert verify_involution(N).ok
+
+
+def test_involution_failure_names_the_first_offending_entry(monkeypatch):
+    M = build_matrix(3, 1)
+    entries = [list(row) for row in M.entries]
+    entries[1][2] += 1
+    corrupted = matrices.KrawtchoukMatrix(N=3, r=M.r, entries=tuple(map(tuple, entries)))
+    monkeypatch.setattr(matrices, "build_matrix", lambda N, r: corrupted)
+    rep = verify_involution(3)
+    assert rep.cases == 1 and rep.failure_count == 1
+    (failure,) = rep.failures
+    # entry (0, 2) of the square picks up M[0][1] * M[1][2], the first to move
+    assert failure.params == (0, 2)
+    assert failure.left == sum(entries[0][k] * entries[k][2] for k in range(4)) == 1
+    assert failure.right == 0
 
 
 def test_sign_symmetries():
