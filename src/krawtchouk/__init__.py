@@ -4,12 +4,7 @@ Boolean-lattice operator algebras."""
 __version__ = "0.1.0"
 
 from .combinatorics import binomial, catalan, super_catalan
-from .matrices import (
-    KrawtchoukMatrix,
-    RParameter,
-    build_matrix,
-    entry,
-)
+from .matrices import KrawtchoukMatrix, build_matrix
 from .report import IdentityReport
 from .zeon import ZeonMatrix, lower_op, op_T, op_Tstar, op_U, raise_op, zeon_mul
 from .algebra import (
@@ -30,9 +25,7 @@ __all__ = [
     "catalan",
     "super_catalan",
     "KrawtchoukMatrix",
-    "RParameter",
     "build_matrix",
-    "entry",
     "IdentityReport",
     "ZeonMatrix",
     "zeon_mul",

@@ -620,10 +620,8 @@ def analyze_family(family: Family, n: int, allow_large: bool = False) -> Algebra
     """
     limit = LARGE_MAX_N if allow_large else DEFAULT_MAX_N
     if n > limit:
-        raise BudgetError(
-            f"n={n} exceeds the exact-computation budget ({limit}); "
-            + ("" if allow_large else "pass allow_large to permit n=6")
-        )
+        hint = "" if allow_large else f"; pass allow_large to permit n={LARGE_MAX_N}"
+        raise BudgetError(f"n={n} exceeds the exact-computation budget ({limit}){hint}")
     computed, computed_components = algebra_stats(family_generators(family, n))
     predicted, comps = predicted_stats(family, n)
 

@@ -17,23 +17,19 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .algebra import (
-    BudgetError,
-    Family,
-    analyze_family,
-)
+from .algebra import DEFAULT_MAX_N, LARGE_MAX_N, Family, analyze_family
 from .combinatorics import binomial
 from .identities import (
     catalan_connection_report,
     central_row_value,
     column_square_central_link,
     column_sum_of_squares,
-    column_sum_relation,
-    partial_sum_plain,
     row_sum_of_squares,
-    sum_squares_general,
-    sum_squares_symmetric,
     super_catalan_link,
+    sweep_column_sum_relation,
+    sweep_partial_sum_plain,
+    sweep_sum_squares_general,
+    sweep_sum_squares_symmetric,
 )
 from .matrices import (
     build_matrix,
@@ -96,30 +92,11 @@ def parse_rational(text: str) -> Fraction:
 # suite task functions (top-level so that --jobs can pickle them)
 # ---------------------------------------------------------------------------
 
-def _t_pascal(N: int, r: Fraction) -> IdentityReport:
-    return verify_pascal(N, r)
-
-
-def _t_recurrence(N: int, r: Fraction) -> IdentityReport:
-    return verify_recurrence_j(N, r)
-
-
-def _t_symmetries(N: int) -> IdentityReport:
-    return verify_sign_symmetries(N)
-
-
-def _t_rowscols(N: int) -> IdentityReport:
-    return closed_form_row1_col01(N)
-
-
-def _t_conjugation(N: int) -> IdentityReport:
-    return verify_binomial_conjugation(N)
-
-
 def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
     """All summation identities at one level N: the general-r theorem, its
     symmetric specialization, plain partial sums, the column-sum relation,
-    and full row/column sums of squares."""
+    and full row/column sums of squares. Each column is swept once per
+    identity, so a level costs O(N^2) rational operations per r."""
     rep = IdentityReport(suite=f"sums N={N}")
     if N >= 1:
         for r in r_list:
@@ -128,28 +105,24 @@ def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
             M = build_matrix(N, r)
             M1 = build_matrix(N - 1, r)
             for j in range(N + 1):
-                for m in range(N + 1):
-                    lhs, rhs = sum_squares_general(N, r, j, m, M, M1)
+                for m, (lhs, rhs) in enumerate(sweep_sum_squares_general(N, r, j, M, M1)):
                     rep.record(("thm-sqsum", r, j, m), lhs, rhs)
         Ms = build_matrix(N, Fraction(1))
         Ms1 = build_matrix(N - 1, Fraction(1))
         for j in range(N + 1):
-            for m in range(N + 1):
-                lhs, rhs = sum_squares_symmetric(N, j, m, Ms, Ms1)
+            symmetric = sweep_sum_squares_symmetric(N, j, Ms, Ms1)
+            general = sweep_sum_squares_general(N, Fraction(1), j, Ms, Ms1)
+            for m, (lhs, rhs) in enumerate(symmetric):
                 rep.record(("symm-sqsum", j, m), lhs, rhs)
-                g_lhs, g_rhs = sum_squares_general(N, Fraction(1), j, m, Ms, Ms1)
-                rep.record(("symm-vs-general", j, m), (lhs, rhs), (g_lhs, g_rhs))
+                rep.record(("symm-vs-general", j, m), (lhs, rhs), general[m])
             # full-column weighted square sum vanishes by the sign symmetry
-            full, _ = sum_squares_symmetric(N, j, N, Ms, Ms1)
-            rep.record(("full-column-zero", j), full, Fraction(0))
+            rep.record(("full-column-zero", j), symmetric[N][0], Fraction(0))
         for j in range(2, N + 1):
-            for m in range(N + 1):
-                lhs, rhs1, rhs2 = partial_sum_plain(N, j, m, Ms, Ms1)
+            for m, (lhs, rhs1, rhs2) in enumerate(sweep_partial_sum_plain(N, j, Ms, Ms1)):
                 rep.record(("plain-partial-1", j, m), lhs, rhs1)
                 rep.record(("plain-partial-2", j, m), lhs, rhs2)
         for j in range(N):
-            for m in range(N):
-                lhs, rhs = column_sum_relation(N, j, m, Ms, Ms1)
+            for m, (lhs, rhs) in enumerate(sweep_column_sum_relation(N, j, Ms, Ms1)):
                 rep.record(("column-sum", j, m), lhs, rhs)
         for j in range(N + 1):
             brute, closed = column_sum_of_squares(N, j, Ms)
@@ -178,10 +151,6 @@ def _t_central_rows(N: int) -> IdentityReport:
     for j in range(N + 1):
         rep.record((N, j), central_row_value(N, j), M.entry(m, j))
     return rep
-
-
-def _t_catalan_connection(m: int) -> IdentityReport:
-    return catalan_connection_report(m)
 
 
 def _t_column_square_link(m: int) -> IdentityReport:
@@ -254,23 +223,23 @@ def _build_tasks(suites: list[str], max_n: int, r_list: list[Fraction]):
     if "all" in want:
         want = set(SUITE_NAMES) - {"all"}
     if "pascal" in want:
-        tasks += [(_t_pascal, (N, r)) for N in range(max_n + 1) for r in r_list]
+        tasks += [(verify_pascal, (N, r)) for N in range(max_n + 1) for r in r_list]
     if "recurrence" in want:
-        tasks += [(_t_recurrence, (N, r)) for N in range(1, max_n + 1) for r in r_list]
+        tasks += [(verify_recurrence_j, (N, r)) for N in range(1, max_n + 1) for r in r_list]
     if "involution" in want:
         tasks += [(verify_involution, (N,)) for N in range(max_n + 1)]
     if "symmetries" in want:
-        tasks += [(_t_symmetries, (N,)) for N in range(max_n + 1)]
+        tasks += [(verify_sign_symmetries, (N,)) for N in range(max_n + 1)]
     if "rows-cols" in want:
-        tasks += [(_t_rowscols, (N,)) for N in range(max_n + 1)]
+        tasks += [(closed_form_row1_col01, (N,)) for N in range(max_n + 1)]
     if "conjugation" in want:
-        tasks += [(_t_conjugation, (N,)) for N in range(max_n + 1)]
+        tasks += [(verify_binomial_conjugation, (N,)) for N in range(max_n + 1)]
     if "sums" in want:
         tasks += [(_t_sums, (N, tuple(r_list))) for N in range(1, max_n + 1)]
         tasks += [(_t_colsquares_integrality, (max(max_n, 20),))]
     if "catalan" in want:
         tasks += [(_t_central_rows, (N,)) for N in range(max(max_n, 14) + 1)]
-        tasks += [(_t_catalan_connection, (m,)) for m in range(1, max_n + 1)]
+        tasks += [(catalan_connection_report, (m,)) for m in range(1, max_n + 1)]
         tasks += [(_t_column_square_link, (m,)) for m in range(max_n + 1)]
     if "supercatalan" in want:
         tasks += [(_t_supercatalan, (max(max_n, 15),))]
@@ -311,9 +280,9 @@ def _default_format(fallback: str) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _check_budget(option: str, value: int, limit: int) -> None:
+def _check_budget(option: str, value: int, limit: int, hint: str = "") -> None:
     if value > limit:
-        raise ValueError(f"{option} {value} exceeds the budget ({limit})")
+        raise ValueError(f"{option} {value} exceeds the budget ({limit}){hint}")
 
 
 def cmd_matrix(args) -> int:
@@ -388,7 +357,7 @@ def cmd_zeon(args) -> int:
         M = raise_op(n, i) if kind == "raise" else lower_op(n, i)
         name = token
     else:
-        sys.stderr.write(f"unknown operator token: {token!r}\n")
+        sys.stderr.write(f"error: unknown operator token {token!r}\n")
         return 2
     if args.format == "json":
         sys.stdout.write(json.dumps(M.to_json_dict(name), sort_keys=True) + "\n")
@@ -401,12 +370,13 @@ def cmd_zeon(args) -> int:
 
 
 def cmd_algebra(args) -> int:
+    if args.allow_large:
+        _check_budget("--n", args.n, LARGE_MAX_N)
+    else:
+        _check_budget("--n", args.n, DEFAULT_MAX_N,
+                      f"; pass --allow-large to permit --n {LARGE_MAX_N}")
     family = Family(args.family)
-    try:
-        comparison = analyze_family(family, args.n, allow_large=args.allow_large)
-    except BudgetError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
+    comparison = analyze_family(family, args.n, allow_large=args.allow_large)
     if args.format == "json":
         sys.stdout.write(json.dumps(comparison.to_json(), sort_keys=True) + "\n")
     else:

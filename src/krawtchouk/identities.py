@@ -14,109 +14,167 @@ from .combinatorics import binomial, catalan, super_catalan
 from .matrices import KrawtchoukMatrix, build_matrix
 from .report import IdentityReport
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _coeff(M: KrawtchoukMatrix, n: int, j: int) -> Fraction:
-    """Entry [n][j], zero-extended above degree N (coefficient of z^n)."""
-    if n > M.N:
-        return Fraction(0)
-    return M.entry(n, j)
+def _prefix(sweep: list, N: int, j: int, m: int):
+    """Entry m of a column sweep; m outside the sweep is a parameter error."""
+    if not 0 <= m < len(sweep):
+        raise ValueError(f"bad parameters N={N} j={j} m={m}")
+    return sweep[m]
 
 
-def sum_squares_general(N: int, r, j: int, m: int,
-                        M: KrawtchoukMatrix | None = None,
-                        M1: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
-    """Weighted partial sum of squares along column j, general parameter r.
+def _levels(N: int, r, M: KrawtchoukMatrix | None, M1: KrawtchoukMatrix | None):
+    """Rows of the level-N matrix and of the level-(N-1) matrix, the latter
+    zero-extended by one row: its degree-N coefficients are 0."""
+    if M is None:
+        M = build_matrix(N, r)
+    if M1 is None:
+        M1 = build_matrix(N - 1, r)
+    return M.entries, M1.entries + ((ZERO,) * N,)
 
-    Returns (lhs, rhs) of the identity
+
+def sweep_sum_squares_general(N: int, r, j: int,
+                              M: KrawtchoukMatrix | None = None,
+                              M1: KrawtchoukMatrix | None = None
+                              ) -> list[tuple[Fraction, Fraction]]:
+    """(lhs, rhs) of the general-r sum-of-squares theorem for every prefix m = 0..N.
+
+    Column j of the identity
 
         sum_{n=0}^m (N-2n) phi[n][j]^2
             = (N-j) phi'[m][j]^2 + r j phi'[m][j-1]^2
               + (1-r)/(1+r) * j * sum_{n=0}^m (r phi[n][j-1]^2 + phi[n][j]^2)
 
-    where phi is the level-N matrix and phi' the level-(N-1) matrix.
-    Prebuilt matrices may be passed to amortize sweeps.
+    where phi is the level-N matrix and phi' the level-(N-1) matrix. One pass
+    down the column carries both partial sums. Prebuilt matrices may be
+    passed to amortize sweeps.
     """
     r = Fraction(r)
     if r == -1:
         raise ZeroDivisionError("the factor (1-r)/(1+r) is undefined at r = -1")
-    if N < 1 or not 0 <= j <= N or not 0 <= m <= N:
-        raise ValueError(f"bad parameters N={N} j={j} m={m}")
-    if M is None:
-        M = build_matrix(N, r)
-    if M1 is None:
-        M1 = build_matrix(N - 1, r)
-    lhs = sum(((N - 2 * n) * M.entry(n, j) ** 2 for n in range(m + 1)), Fraction(0))
-    rhs = Fraction(0)
-    if N - j != 0:
-        rhs += (N - j) * _coeff(M1, m, j) ** 2
-    if j != 0:
-        rhs += r * j * _coeff(M1, m, j - 1) ** 2
-        tail = sum(
-            (r * M.entry(n, j - 1) ** 2 + M.entry(n, j) ** 2 for n in range(m + 1)),
-            Fraction(0),
-        )
-        rhs += Fraction(1 - r, 1 + r) * j * tail
-    return lhs, rhs
+    if N < 1 or not 0 <= j <= N:
+        raise ValueError(f"bad parameters N={N} j={j}")
+    rows, prev = _levels(N, r, M, M1)
+    rj = r * j
+    factor = Fraction(1 - r, 1 + r) * j
+    lhs = tail = ZERO
+    out = []
+    for n in range(N + 1):
+        x = rows[n][j]
+        sq = x * x
+        lhs += (N - 2 * n) * sq
+        rhs = ZERO
+        if N - j != 0:
+            y = prev[n][j]
+            rhs += (N - j) * (y * y)
+        if j != 0:
+            w, y = rows[n][j - 1], prev[n][j - 1]
+            tail += r * (w * w) + sq
+            rhs += rj * (y * y) + factor * tail
+        out.append((lhs, rhs))
+    return out
+
+
+def sweep_sum_squares_symmetric(N: int, j: int,
+                                M: KrawtchoukMatrix | None = None,
+                                M1: KrawtchoukMatrix | None = None
+                                ) -> list[tuple[Fraction, Fraction]]:
+    """(lhs, rhs) of the symmetric-case (r = 1) sum of squares for every prefix m = 0..N.
+
+    sum_{n=0}^m (N-2n) phi[n][j]^2 = (N-j) phi'[m][j]^2 + j phi'[m][j-1]^2.
+    """
+    if N < 1 or not 0 <= j <= N:
+        raise ValueError(f"bad parameters N={N} j={j}")
+    rows, prev = _levels(N, ONE, M, M1)
+    lhs = ZERO
+    out = []
+    for n in range(N + 1):
+        x = rows[n][j]
+        lhs += (N - 2 * n) * (x * x)
+        rhs = ZERO
+        if N - j != 0:
+            y = prev[n][j]
+            rhs += (N - j) * (y * y)
+        if j != 0:
+            y = prev[n][j - 1]
+            rhs += j * (y * y)
+        out.append((lhs, rhs))
+    return out
+
+
+def sweep_partial_sum_plain(N: int, j: int,
+                            M: KrawtchoukMatrix | None = None,
+                            M1: KrawtchoukMatrix | None = None
+                            ) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(lhs, rhs1, rhs2) of the weighted partial sum without squares, r = 1, j >= 2,
+    for every prefix m = 0..N; all three are equal.
+
+    sum_{n=0}^m (N-2n) phi[n][j] = j phi'[m][j-2] + (N-j) phi'[m][j]
+                                 = (N-1-2m) phi'[m][j-1] + phi'[m][j-2].
+    """
+    if j < 2:
+        raise ValueError(f"partial sums require j >= 2, got j={j}")
+    if N < 1 or j > N:
+        raise ValueError(f"bad parameters N={N} j={j}")
+    rows, prev = _levels(N, ONE, M, M1)
+    lhs = ZERO
+    out = []
+    for n in range(N + 1):
+        lhs += (N - 2 * n) * rows[n][j]
+        p = prev[n]
+        rhs1 = j * p[j - 2]
+        if N - j != 0:
+            rhs1 += (N - j) * p[j]
+        out.append((lhs, rhs1, (N - 1 - 2 * n) * p[j - 1] + p[j - 2]))
+    return out
+
+
+def sweep_column_sum_relation(N: int, j: int,
+                              M: KrawtchoukMatrix | None = None,
+                              M1: KrawtchoukMatrix | None = None
+                              ) -> list[tuple[Fraction, Fraction]]:
+    """(phi'[m][j], sum_{n=0}^m phi[n][j+1]) for every prefix m = 0..N-1, r = 1."""
+    if N < 1 or not 0 <= j <= N - 1:
+        raise ValueError(f"bad parameters N={N} j={j}")
+    rows, prev = _levels(N, ONE, M, M1)
+    rhs = ZERO
+    out = []
+    for n in range(N):
+        rhs += rows[n][j + 1]
+        out.append((prev[n][j], rhs))
+    return out
+
+
+def sum_squares_general(N: int, r, j: int, m: int,
+                        M: KrawtchoukMatrix | None = None,
+                        M1: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
+    """Prefix m of ``sweep_sum_squares_general``: the general-r theorem's (lhs, rhs)."""
+    return _prefix(sweep_sum_squares_general(N, r, j, M, M1), N, j, m)
 
 
 def sum_squares_symmetric(N: int, j: int, m: int,
                           M: KrawtchoukMatrix | None = None,
                           M1: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
-    """Symmetric-case (r = 1) weighted partial sum of squares along column j."""
-    if N < 1 or not 0 <= j <= N or not 0 <= m <= N:
-        raise ValueError(f"bad parameters N={N} j={j} m={m}")
-    if M is None:
-        M = build_matrix(N, ONE)
-    if M1 is None:
-        M1 = build_matrix(N - 1, ONE)
-    lhs = sum(((N - 2 * n) * M.entry(n, j) ** 2 for n in range(m + 1)), Fraction(0))
-    rhs = Fraction(0)
-    if N - j != 0:
-        rhs += (N - j) * _coeff(M1, m, j) ** 2
-    if j != 0:
-        rhs += j * _coeff(M1, m, j - 1) ** 2
-    return lhs, rhs
+    """Prefix m of ``sweep_sum_squares_symmetric``: the r = 1 theorem's (lhs, rhs)."""
+    return _prefix(sweep_sum_squares_symmetric(N, j, M, M1), N, j, m)
 
 
 def partial_sum_plain(N: int, j: int, m: int,
                       M: KrawtchoukMatrix | None = None,
                       M1: KrawtchoukMatrix | None = None
                       ) -> tuple[Fraction, Fraction, Fraction]:
-    """Weighted partial sum along column j without squares, r = 1, j >= 2.
-
-    Returns (lhs, rhs1, rhs2); all three are equal.
-    """
-    if j < 2:
-        raise ValueError(f"partial sums require j >= 2, got j={j}")
-    if N < 1 or j > N or not 0 <= m <= N:
-        raise ValueError(f"bad parameters N={N} j={j} m={m}")
-    if M is None:
-        M = build_matrix(N, ONE)
-    if M1 is None:
-        M1 = build_matrix(N - 1, ONE)
-    lhs = sum(((N - 2 * n) * M.entry(n, j) for n in range(m + 1)), Fraction(0))
-    rhs1 = j * _coeff(M1, m, j - 2)
-    if N - j != 0:
-        rhs1 += (N - j) * _coeff(M1, m, j)
-    rhs2 = (N - 1 - 2 * m) * _coeff(M1, m, j - 1) + _coeff(M1, m, j - 2)
-    return lhs, rhs1, rhs2
+    """Prefix m of ``sweep_partial_sum_plain``: (lhs, rhs1, rhs2), all equal."""
+    return _prefix(sweep_partial_sum_plain(N, j, M, M1), N, j, m)
 
 
 def column_sum_relation(N: int, j: int, m: int,
                         M: KrawtchoukMatrix | None = None,
                         M1: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
-    """Phi^(N-1)[m][j] as the partial column sum of column j+1 at level N."""
-    if N < 1 or not 0 <= j <= N - 1 or not 0 <= m <= N - 1:
-        raise ValueError(f"bad parameters N={N} j={j} m={m}")
-    if M is None:
-        M = build_matrix(N, ONE)
-    if M1 is None:
-        M1 = build_matrix(N - 1, ONE)
-    lhs = M1.entry(m, j)
-    rhs = sum((M.entry(n, j + 1) for n in range(m + 1)), Fraction(0))
-    return lhs, rhs
+    """Prefix m of ``sweep_column_sum_relation``: Phi^(N-1)[m][j] and the partial
+    column sum of column j+1 at level N."""
+    return _prefix(sweep_column_sum_relation(N, j, M, M1), N, j, m)
 
 
 def column_sum_of_squares(N: int, j: int,

@@ -13,36 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .combinatorics import binomial
 from .report import IdentityReport
-
-Rational = Fraction
-
-
-@dataclass(frozen=True)
-class RParameter:
-    """The rational parameter r, with derived p = 1/(1+r) and q = 1 - p.
-
-    p and q are defined only when r != -1.
-    """
-
-    r: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-
-    @cached_property
-    def p(self) -> Fraction:
-        if self.r == -1:
-            raise ZeroDivisionError("p = 1/(1+r) is undefined at r = -1")
-        return Fraction(1, 1) / (1 + self.r)
-
-    @cached_property
-    def q(self) -> Fraction:
-        return 1 - self.p
-
 
 def _convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -114,10 +88,6 @@ def _expand(N: int, r: Fraction) -> KrawtchoukMatrix:
 clear_memo = _expand.cache_clear
 
 
-def entry(M: KrawtchoukMatrix, n: int, j: int) -> Fraction:
-    return M.entry(n, j)
-
-
 def binomial_diagonal(N: int) -> tuple[int, ...]:
     """Diagonal of the conjugating matrix B, B_ii = C(N, i)."""
     return tuple(binomial(N, i) for i in range(N + 1))
@@ -148,14 +118,17 @@ def verify_recurrence_j(N: int, r) -> IdentityReport:
     r = Fraction(r)
     rep = IdentityReport(suite=f"recurrence N={N} r={r}")
     M = build_matrix(N, r)
+    r_minus_1, r_plus_1 = r - 1, 1 + r
     for n in range(N + 1):
+        row = M.entries[n]
+        base = N - n * r_plus_1
         for j in range(N + 1):
-            lhs = (N + (r - 1) * j - n * (1 + r)) * M.entry(n, j)
+            lhs = (base + r_minus_1 * j) * row[j]
             rhs = Fraction(0)
             if N - j != 0:
-                rhs += (N - j) * M.entry(n, j + 1)
+                rhs += (N - j) * row[j + 1]
             if j != 0:
-                rhs += r * j * M.entry(n, j - 1)
+                rhs += r * j * row[j - 1]
             rep.record((n, j), lhs, rhs)
     return rep
 

@@ -154,7 +154,7 @@ def test_commutative_families_have_center_equal_to_algebra():
 def test_budget_enforced():
     with pytest.raises(BudgetError):
         analyze_family(Family.U, 6)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"budget \(6\)$"):
         analyze_family(Family.U, 7, allow_large=True)
 
 

@@ -120,6 +120,13 @@ def test_verify_jobs_matches_sequential(capsys):
     assert doc1["suites"] == doc2["suites"]
 
 
+def test_verify_all_jobs_pickles_every_task_and_keeps_stdout(capsys):
+    base = ("verify", "--suite", "all", "--max-n", "3", "--r", "1", "--r", "-2/3")
+    _, sequential, _ = run(capsys, *base)
+    code, pooled, _ = run(capsys, *base, "--jobs", "2")
+    assert code == 0 and pooled == sequential
+
+
 def test_zeon_u_diagonal(capsys):
     code, out, _ = run(capsys, "zeon", "--n", "2", "--op", "U")
     assert code == 0
@@ -175,8 +182,9 @@ def test_verify_reports_the_requested_jobs(capsys, monkeypatch):
 
 
 def test_zeon_bad_token_exits_2(capsys):
-    code, _, _ = run(capsys, "zeon", "--n", "2", "--op", "bogus")
-    assert code == 2
+    code, out, err = run(capsys, "zeon", "--n", "2", "--op", "bogus")
+    assert code == 2 and out == ""
+    assert err == "error: unknown operator token 'bogus'\n"
 
 
 def test_zeon_n_out_of_range_exits_2():
@@ -207,9 +215,16 @@ def test_algebra_tt_n2_note_does_not_fail_check(capsys):
 
 
 def test_algebra_budget_exceeded_exits_2(capsys):
-    code, _, err = run(capsys, "algebra", "--n", "6", "--family", "U")
-    assert code == 2
-    assert "budget" in err
+    code, out, err = run(capsys, "algebra", "--n", "6", "--family", "U")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+    assert "--allow-large" in err and "allow_large" not in err
+
+
+def test_algebra_large_budget_message_has_no_dangling_separator(capsys):
+    code, out, err = run(capsys, "algebra", "--n", "7", "--family", "T", "--allow-large")
+    assert code == 2 and out == ""
+    assert err == "error: --n 7 exceeds the budget (6)\n"
 
 
 def test_env_var_default_format(capsys, monkeypatch):

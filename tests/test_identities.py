@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krawtchouk.combinatorics import binomial, catalan
 from krawtchouk.identities import (
@@ -15,11 +16,121 @@ from krawtchouk.identities import (
     sum_squares_general,
     sum_squares_symmetric,
     super_catalan_link,
+    sweep_column_sum_relation,
+    sweep_partial_sum_plain,
+    sweep_sum_squares_general,
+    sweep_sum_squares_symmetric,
 )
 from krawtchouk.matrices import build_matrix
 
 R_SAMPLES = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
              Fraction(3, 7), Fraction(-2)]
+
+
+# ---------------------------------------------------------------------------
+# definition-level oracles: every prefix m re-summed from n = 0, O(m) each
+# ---------------------------------------------------------------------------
+
+def _coeff(M, n, j):
+    """Entry [n][j], zero-extended above degree N (coefficient of z^n)."""
+    return Fraction(0) if n > M.N else M.entry(n, j)
+
+
+def oracle_general(N, r, j, m):
+    M, M1 = build_matrix(N, r), build_matrix(N - 1, r)
+    lhs = sum(((N - 2 * n) * M.entry(n, j) ** 2 for n in range(m + 1)), Fraction(0))
+    rhs = Fraction(0)
+    if N - j != 0:
+        rhs += (N - j) * _coeff(M1, m, j) ** 2
+    if j != 0:
+        rhs += r * j * _coeff(M1, m, j - 1) ** 2
+        tail = sum((r * M.entry(n, j - 1) ** 2 + M.entry(n, j) ** 2 for n in range(m + 1)),
+                   Fraction(0))
+        rhs += Fraction(1 - r, 1 + r) * j * tail
+    return lhs, rhs
+
+
+def oracle_symmetric(N, j, m):
+    M, M1 = build_matrix(N, 1), build_matrix(N - 1, 1)
+    lhs = sum(((N - 2 * n) * M.entry(n, j) ** 2 for n in range(m + 1)), Fraction(0))
+    rhs = Fraction(0)
+    if N - j != 0:
+        rhs += (N - j) * _coeff(M1, m, j) ** 2
+    if j != 0:
+        rhs += j * _coeff(M1, m, j - 1) ** 2
+    return lhs, rhs
+
+
+def oracle_plain(N, j, m):
+    M, M1 = build_matrix(N, 1), build_matrix(N - 1, 1)
+    lhs = sum(((N - 2 * n) * M.entry(n, j) for n in range(m + 1)), Fraction(0))
+    rhs1 = j * _coeff(M1, m, j - 2)
+    if N - j != 0:
+        rhs1 += (N - j) * _coeff(M1, m, j)
+    rhs2 = (N - 1 - 2 * m) * _coeff(M1, m, j - 1) + _coeff(M1, m, j - 2)
+    return lhs, rhs1, rhs2
+
+
+def oracle_column_sum(N, j, m):
+    M, M1 = build_matrix(N, 1), build_matrix(N - 1, 1)
+    return M1.entry(m, j), sum((M.entry(n, j + 1) for n in range(m + 1)), Fraction(0))
+
+
+def _near_minus_one(k):
+    return st.sampled_from([-1, 1]).map(lambda s: Fraction(-1) + Fraction(s, k))
+
+
+exact_r = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(-1, 2)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60).filter(lambda r: r != -1),
+    st.integers(2, 10**6).flatmap(_near_minus_one),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 16), r=exact_r)
+def test_general_sweep_equals_the_definition_level_sums(N, r):
+    for j in range(N + 1):
+        sweep = sweep_sum_squares_general(N, r, j)
+        assert sweep == [oracle_general(N, r, j, m) for m in range(N + 1)], (N, r, j)
+        assert all(lhs == rhs for lhs, rhs in sweep)
+
+
+def test_symmetric_sweeps_equal_the_definition_level_sums():
+    for N in range(1, 17):
+        for j in range(N + 1):
+            assert sweep_sum_squares_symmetric(N, j) == [
+                oracle_symmetric(N, j, m) for m in range(N + 1)], (N, j)
+        for j in range(2, N + 1):
+            assert sweep_partial_sum_plain(N, j) == [
+                oracle_plain(N, j, m) for m in range(N + 1)], (N, j)
+        for j in range(N):
+            assert sweep_column_sum_relation(N, j) == [
+                oracle_column_sum(N, j, m) for m in range(N)], (N, j)
+
+
+def test_prefix_functions_read_the_sweep():
+    N, r = 6, Fraction(-5, 9)
+    for j in range(N + 1):
+        general = sweep_sum_squares_general(N, r, j)
+        symmetric = sweep_sum_squares_symmetric(N, j)
+        for m in range(N + 1):
+            assert sum_squares_general(N, r, j, m) == general[m]
+            assert sum_squares_symmetric(N, j, m) == symmetric[m]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sum_squares_general(3, 2, 1, -1),
+    lambda: sum_squares_general(3, 2, 1, 4),
+    lambda: sum_squares_symmetric(3, 4, 0),
+    lambda: partial_sum_plain(4, 2, -1),
+    lambda: column_sum_relation(3, 0, 3),
+    lambda: column_sum_relation(3, 3, 0),
+], ids=["general-negative-m", "general-m-above-N", "symmetric-j", "plain-m",
+        "column-sum-m", "column-sum-j"])
+def test_prefix_outside_the_sweep_is_a_parameter_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_sum_squares_general_hand_cases():
@@ -34,6 +145,8 @@ def test_sum_squares_general_hand_cases():
 def test_sum_squares_general_rejects_r_minus_one():
     with pytest.raises(ZeroDivisionError):
         sum_squares_general(3, -1, 1, 1)
+    with pytest.raises(ZeroDivisionError):
+        sweep_sum_squares_general(3, Fraction(-1), 0)
 
 
 @pytest.mark.parametrize("r", R_SAMPLES)

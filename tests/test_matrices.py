@@ -11,11 +11,9 @@ from krawtchouk import matrices
 from krawtchouk.cli import main
 from krawtchouk.combinatorics import binomial
 from krawtchouk.matrices import (
-    RParameter,
     build_matrix,
     binomial_diagonal,
     closed_form_row1_col01,
-    entry,
     verify_binomial_conjugation,
     verify_involution,
     verify_pascal,
@@ -65,8 +63,8 @@ def test_n2_r2_hand_expansion():
 def test_entry_access_and_boundary():
     M4 = build_matrix(4, 1)
     M3 = build_matrix(3, 1)
-    assert entry(M4, 2, 2) == -2
-    assert entry(M3, 1, 3) == -3
+    assert M4.entry(2, 2) == -2
+    assert M3.entry(1, 3) == -3
     for r in R_SAMPLES:
         M = build_matrix(5, r)
         for j in range(6):
@@ -115,19 +113,6 @@ def test_entries_are_polynomials_in_r_of_degree_j():
                         term *= (fresh - xs[b]) / (xs[a] - xs[b])
                 value += term
             assert value == M_fresh.entry(n, j)
-
-
-def test_rparameter_relations():
-    rp = RParameter(Fraction(3, 7))
-    assert 1 / rp.p == 1 + rp.r
-    assert rp.r == rp.q / rp.p
-    assert rp.q == 1 - rp.p
-
-
-def test_rparameter_undefined_at_minus_one():
-    rp = RParameter(Fraction(-1))
-    with pytest.raises(ZeroDivisionError):
-        rp.p
 
 
 @pytest.mark.parametrize("r", R_SAMPLES)
