@@ -21,7 +21,7 @@ from itertools import combinations
 from .combinatorics import binomial, catalan
 from .matrices import build_matrix
 from .report import IdentityReport
-from .zeon import op_T, op_Tstar, op_U
+from .zeon import ZeonMatrix, combine, mat_mul, op_T, op_Tstar, op_U, transpose
 
 DEFAULT_MAX_N = 5
 LARGE_MAX_N = 6
@@ -75,11 +75,12 @@ class ComponentSpec:
 def _as_rows(mat) -> tuple[int, dict[int, dict[int, int]]]:
     """Normalize a generator (ZeonMatrix or nested sequence) to (size, integer rows).
 
+    A ZeonMatrix's rows are used as they are: nothing here mutates a matrix.
     A rational generator is scaled by the lcm of its denominators: a nonzero
     multiple of a generator generates the same algebra, centralizer and center.
     """
-    if hasattr(mat, "rows") and hasattr(mat, "size"):
-        return mat.size, {i: dict(r) for i, r in mat.rows.items() if r}
+    if isinstance(mat, ZeonMatrix):
+        return mat.size, mat.rows
     d = len(mat)
     rows: dict[int, dict[int, Fraction]] = {}
     for i, row in enumerate(mat):
@@ -92,59 +93,12 @@ def _as_rows(mat) -> tuple[int, dict[int, dict[int, int]]]:
     return d, {i: {j: int(v * denom) for j, v in r.items()} for i, r in rows.items()}
 
 
-def _mat_mul(d: int, A: dict, B: dict) -> dict:
-    out: dict[int, dict[int, int]] = {}
-    for i, arow in A.items():
-        acc: dict[int, int] = {}
-        for k, av in arow.items():
-            brow = B.get(k)
-            if not brow:
-                continue
-            for j, bv in brow.items():
-                acc[j] = acc.get(j, 0) + av * bv
-        cleaned = {j: v for j, v in acc.items() if v != 0}
-        if cleaned:
-            out[i] = cleaned
-    return out
-
-
-def _mat_sub(A: dict, B: dict) -> dict:
-    out = {i: dict(r) for i, r in A.items()}
-    for i, brow in B.items():
-        row = out.setdefault(i, {})
-        for j, v in brow.items():
-            w = row.get(j, 0) - v
-            if w == 0:
-                row.pop(j, None)
-            else:
-                row[j] = w
-        if not row:
-            out.pop(i, None)
-    return out
-
-
 def _identity_rows(d: int) -> dict:
     return {i: {i: 1} for i in range(d)}
 
 
-def _transpose(A: dict) -> dict:
-    out: dict[int, dict[int, int]] = {}
-    for i, row in A.items():
-        for j, v in row.items():
-            out.setdefault(j, {})[i] = v
-    return out
-
-
-def _combine(coeffs: dict[int, int], mats: list[dict]) -> dict:
-    """The matrix sum of coeffs[k] * mats[k]."""
-    out: dict[int, dict[int, int]] = {}
-    for k, a in coeffs.items():
-        for i, row in mats[k].items():
-            acc = out.setdefault(i, {})
-            for j, v in row.items():
-                acc[j] = acc.get(j, 0) + a * v
-    cleaned = {i: {j: v for j, v in row.items() if v != 0} for i, row in out.items()}
-    return {i: row for i, row in cleaned.items() if row}
+def _commutator(A: dict, B: dict) -> dict:
+    return combine([(1, mat_mul(A, B)), (-1, mat_mul(B, A))])
 
 
 def _vectorize(d: int, rows: dict, cols: set[int] | None = None) -> dict[int, int]:
@@ -253,7 +207,7 @@ def _prepare(generators) -> tuple[int, list[dict]]:
 
 
 def span_closure_basis(generators, unital: bool = True) -> tuple[int, list[dict]]:
-    """Basis (as sparse rows-dicts) of the algebra generated by the inputs.
+    """Basis of the generated algebra as row dicts; a ZeonMatrix input's rows are shared.
 
     Starts from the identity (when unital) and the generators, repeatedly
     right-multiplies basis elements by generators, and keeps the products
@@ -279,7 +233,7 @@ def _span_closure(d: int, gens: list[dict], seed: list[dict],
         fresh: list[dict] = []
         for m in frontier:
             for g in gens:
-                prod = _mat_mul(d, m, g)
+                prod = mat_mul(m, g)
                 if ech.insert(_vectorize(d, prod, cols)):
                     basis.append(prod)
                     fresh.append(prod)
@@ -294,7 +248,7 @@ def span_closure_dimension(generators, unital: bool = True) -> int:
 
 def _commutator_rows(d: int, A: dict) -> list[dict[int, int]]:
     """Constraint rows of X A - A X = 0 in the d^2 unknowns X[k][l] (row-major)."""
-    cols = _transpose(A)
+    cols = transpose(A)
     out: list[dict[int, int]] = []
     for i in range(d):
         arow = A.get(i, {})
@@ -311,7 +265,7 @@ def _commutator_rows(d: int, A: dict) -> list[dict[int, int]]:
     return out
 
 
-def _augment_constraints(d: int, gens: list[dict]) -> list[dict]:
+def _augment_constraints(gens: list[dict]) -> list[dict]:
     """Add pairwise commutators and differences of the generators.
 
     Anything commuting with two generators commutes with their difference
@@ -321,12 +275,9 @@ def _augment_constraints(d: int, gens: list[dict]) -> list[dict]:
     """
     aug = list(gens)
     for a, b in combinations(gens, 2):
-        comm = _mat_sub(_mat_mul(d, a, b), _mat_mul(d, b, a))
-        if comm:
-            aug.append(comm)
-        diff = _mat_sub(a, b)
-        if diff:
-            aug.append(diff)
+        for extra in (_commutator(a, b), combine([(1, a), (-1, b)])):
+            if extra:
+                aug.append(extra)
     return aug
 
 
@@ -334,7 +285,7 @@ def centralizer_dimension(generators) -> int:
     """Dimension of the space of matrices commuting with every generator."""
     d, gens = _prepare(generators)
     rows: list[dict[int, int]] = []
-    for g in _augment_constraints(d, gens):
+    for g in _augment_constraints(gens):
         rows.extend(_commutator_rows(d, g))
     eliminated, remaining = _eliminate_singletons(rows)
     remaining.sort(key=len)
@@ -360,8 +311,7 @@ def _center_basis(d: int, gens: list[dict], basis: list[dict]) -> list[dict[int,
     def commutators(b):
         vec: dict[int, int] = {}
         for idx, g in enumerate(gens):
-            comm = _mat_sub(_mat_mul(d, b, g), _mat_mul(d, g, b))
-            for c, v in _vectorize(d, comm).items():
+            for c, v in _vectorize(d, _commutator(b, g)).items():
                 vec[idx * d * d + c] = v
         return vec
 
@@ -419,18 +369,15 @@ def _wedderburn_components(d: int, gens: list[dict], basis: list[dict],
                            center: list[dict[int, int]]) -> ComponentSpec | None:
     """The (m_i, d_i) blocks of the algebra, one per eigenvalue of a central
     c = s + s^T; None when a certificate of that decomposition fails."""
-    if any(_transpose(g) not in gens for g in gens):
+    if any(transpose(g) not in gens for g in gens):
         return None  # not a *-algebra: semisimplicity is not guaranteed
     z, delta = len(center), len(basis)
-    weights: dict[int, int] = {}
-    for w, element in enumerate(center, start=1):
-        for k, v in element.items():
-            weights[k] = weights.get(k, 0) + w * v
-    s = _combine(weights, basis)
-    c = _combine({0: 1, 1: 1}, [s, _transpose(s)])
+    s = combine((w * v, basis[k])
+                for w, element in enumerate(center, start=1) for k, v in element.items())
+    c = combine([(1, s), (1, transpose(s))])
     powers = [_identity_rows(d)]
     for _ in range(z):
-        powers.append(_mat_mul(d, powers[-1], c))
+        powers.append(mat_mul(powers[-1], c))
     minpolys = _relations((_vectorize(d, p) for p in powers), d * d)
     if len(minpolys) != 1:
         return None  # deg minpoly < z: c does not separate the blocks
@@ -441,7 +388,7 @@ def _wedderburn_components(d: int, gens: list[dict], basis: list[dict],
         return None  # the center does not split over Q
     comps = []
     for lam in roots:
-        shifted = _mat_sub(c, {i: {i: lam} for i in range(d)})
+        shifted = combine([(1, c), (-lam, _identity_rows(d))])
         # c is symmetric, so its kernel is the relations among its rows
         kernel = _relations((shifted.get(i, {}) for i in range(d)), d)
         if z == delta:

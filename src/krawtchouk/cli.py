@@ -99,22 +99,25 @@ def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
     identity, so a level costs O(N^2) rational operations per r."""
     rep = IdentityReport(suite=f"sums N={N}")
     if N >= 1:
+        general: dict[tuple, list] = {}  # (r, j) -> sweep; those at r = 1 are reused
         for r in r_list:
             if r == -1:
                 continue
             M = build_matrix(N, r)
             M1 = build_matrix(N - 1, r)
             for j in range(N + 1):
-                for m, (lhs, rhs) in enumerate(sweep_sum_squares_general(N, r, j, M, M1)):
+                general[r, j] = sweep_sum_squares_general(N, r, j, M, M1)
+                for m, (lhs, rhs) in enumerate(general[r, j]):
                     rep.record(("thm-sqsum", r, j, m), lhs, rhs)
         Ms = build_matrix(N, Fraction(1))
         Ms1 = build_matrix(N - 1, Fraction(1))
         for j in range(N + 1):
             symmetric = sweep_sum_squares_symmetric(N, j, Ms, Ms1)
-            general = sweep_sum_squares_general(N, Fraction(1), j, Ms, Ms1)
+            at_1 = general.get((1, j)) or sweep_sum_squares_general(
+                N, Fraction(1), j, Ms, Ms1)
             for m, (lhs, rhs) in enumerate(symmetric):
                 rep.record(("symm-sqsum", j, m), lhs, rhs)
-                rep.record(("symm-vs-general", j, m), (lhs, rhs), general[m])
+                rep.record(("symm-vs-general", j, m), (lhs, rhs), at_1[m])
             # full-column weighted square sum vanishes by the sign symmetry
             rep.record(("full-column-zero", j), symmetric[N][0], Fraction(0))
         for j in range(2, N + 1):
@@ -272,8 +275,12 @@ def _render_matrix(M, fmt: str) -> str:
     return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells) + "\n"
 
 
-def _default_format(fallback: str) -> str:
-    return os.environ.get("KRAWTCHOUK_FORMAT", fallback)
+def _add_format(p: argparse.ArgumentParser, choices: list[str]) -> None:
+    """--format, defaulting to $KRAWTCHOUK_FORMAT or else the first choice.
+    argparse does not check a default against the choices; main does."""
+    p.add_argument("--format", choices=choices,
+                   default=os.environ.get("KRAWTCHOUK_FORMAT", choices[0]))
+    p.set_defaults(formats=choices)
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +422,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="emit a Krawtchouk matrix")
     p.add_argument("--n", type=int, required=True, metavar="N")
     p.add_argument("--r", type=parse_rational, default=Fraction(1))
-    p.add_argument("--format", choices=["pretty", "csv", "json"],
-                   default=_default_format("pretty"))
+    _add_format(p, ["pretty", "csv", "json"])
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("verify", help="run identity verification suites")
     p.add_argument("--suite", action="append", choices=SUITE_NAMES, required=True)
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
     p.add_argument("--r", type=parse_rational, action="append", default=None)
-    p.add_argument("--format", choices=["text", "json"],
-                   default=_default_format("text"))
+    _add_format(p, ["text", "json"])
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
@@ -433,8 +438,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--op", required=True,
                    help="T, Tstar, U, raise:i, or lower:i")
-    p.add_argument("--format", choices=["coord", "json"],
-                   default=_default_format("coord"))
+    _add_format(p, ["coord", "json"])
     p.set_defaults(func=cmd_zeon)
 
     p = sub.add_parser("algebra", help="compare computed and predicted algebra statistics")
@@ -442,8 +446,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--check", action="store_true")
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
-    p.add_argument("--format", choices=["text", "json"],
-                   default=_default_format("text"))
+    _add_format(p, ["text", "json"])
     p.set_defaults(func=cmd_algebra)
     return parser
 
@@ -451,6 +454,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(join_negative_r(sys.argv[1:] if argv is None else argv))
+    if args.format not in args.formats:
+        parser.error(f"KRAWTCHOUK_FORMAT={args.format!r} is not a format of "
+                     f"{args.command}; accepted: {', '.join(args.formats)}")
     if args.command == "matrix" and args.n < 0:
         parser.error("--n must be nonnegative")
     if args.command == "verify":

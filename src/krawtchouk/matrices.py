@@ -43,9 +43,6 @@ class KrawtchoukMatrix:
             raise IndexError(f"row index n={n} outside [-1, {self.N}]")
         return self.entries[n][j]
 
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        return self.entries[n]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 

@@ -59,14 +59,6 @@ class IdentityReport:
     def record_bool(self, params: tuple, ok: bool) -> None:
         self.record(params, bool(ok), True)
 
-    def absorb(self, other: "IdentityReport") -> None:
-        """Merge another report's counts and (capped) failures into this one."""
-        self.cases += other.cases
-        self.failure_count += other.failure_count
-        room = self.max_stored - len(self.failures)
-        if room > 0:
-            self.failures.extend(other.failures[:room])
-
     def to_json(self) -> dict:
         return {
             "suite": self.suite,

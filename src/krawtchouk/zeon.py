@@ -24,11 +24,68 @@ def zeon_mul(I: int, J: int) -> int | None:
     return I | J
 
 
+Rows = dict[int, dict[int, int]]
+
+# ---------------------------------------------------------------------------
+# the sparse integer matrix kernel, shared with the algebra statistics
+# ---------------------------------------------------------------------------
+#
+# A matrix is a dict of rows {i: {j: value}} with no zero entry and no empty
+# row. Every function below takes and returns matrices of that form, and
+# returns a new matrix without mutating its arguments.
+
+def mat_mul(A: Rows, B: Rows) -> Rows:
+    """The product A B."""
+    out: Rows = {}
+    for i, arow in A.items():
+        acc: dict[int, int] = {}
+        for k, av in arow.items():
+            brow = B.get(k)
+            if brow:
+                for j, bv in brow.items():
+                    acc[j] = acc.get(j, 0) + av * bv
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def combine(terms) -> Rows:
+    """The sum of c * A over the (c, A) pairs in terms."""
+    out: Rows = {}
+    for c, A in terms:
+        if not c:
+            continue
+        for i, row in A.items():
+            acc = out.get(i)
+            if acc is None:  # no entry of A is zero, so neither is c * v
+                out[i] = dict(row) if c == 1 else {j: c * v for j, v in row.items()}
+                continue
+            for j, v in row.items():
+                w = acc.get(j, 0) + c * v
+                if w:
+                    acc[j] = w
+                else:
+                    del acc[j]
+            if not acc:
+                del out[i]
+    return out
+
+
+def transpose(A: Rows) -> Rows:
+    out: Rows = {}
+    for i, row in A.items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = v
+    return out
+
+
 class ZeonMatrix:
     """Sparse exact-integer matrix of size 2^n x 2^n over the subset basis.
 
-    Entries are stored as rows[i][j]; zero entries are never stored.
-    Instances are treated as immutable after construction.
+    Entries are stored as rows[i][j] under the kernel's invariant: no zero
+    entry and no empty row. Instances are treated as immutable after
+    construction.
     """
 
     def __init__(self, n: int, entries: dict[tuple[int, int], int] | None = None):
@@ -36,7 +93,7 @@ class ZeonMatrix:
             raise ValueError(f"n must be nonnegative, got {n}")
         self.n = n
         self.size = 1 << n
-        self.rows: dict[int, dict[int, int]] = {}
+        self.rows: Rows = {}
         if entries:
             for (i, j), v in entries.items():
                 self._set(i, j, v)
@@ -47,6 +104,16 @@ class ZeonMatrix:
         if v == 0:
             return
         self.rows.setdefault(i, {})[j] = v
+
+    def _new(self, rows: Rows) -> "ZeonMatrix":
+        out = ZeonMatrix(self.n)
+        out.rows = rows
+        return out
+
+    def _rows_of(self, other: "ZeonMatrix") -> Rows:
+        if self.n != other.n:
+            raise ValueError(f"size mismatch: n={self.n} vs n={other.n}")
+        return other.rows
 
     def get(self, i: int, j: int) -> int:
         return self.rows.get(i, {}).get(j, 0)
@@ -60,81 +127,37 @@ class ZeonMatrix:
             for j in sorted(row):
                 yield i, j, row[j]
 
-    @classmethod
-    def identity(cls, n: int) -> "ZeonMatrix":
-        M = cls(n)
-        for i in range(1 << n):
-            M._set(i, i, 1)
-        return M
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZeonMatrix):
             return NotImplemented
-        return self.n == other.n and self._clean() == other._clean()
-
-    def _clean(self) -> dict[int, dict[int, int]]:
-        return {i: r for i, r in self.rows.items() if r}
+        return self.n == other.n and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.n, tuple(self.items())))
 
     def __add__(self, other: "ZeonMatrix") -> "ZeonMatrix":
-        self._check_compat(other)
-        out = ZeonMatrix(self.n)
-        for i, j, v in self.items():
-            out._set(i, j, v)
-        for i, j, v in other.items():
-            w = out.get(i, j) + v
-            row = out.rows.setdefault(i, {})
-            if w == 0:
-                row.pop(j, None)
-            else:
-                row[j] = w
-        return out
+        return self._new(combine([(1, self.rows), (1, self._rows_of(other))]))
 
     def __sub__(self, other: "ZeonMatrix") -> "ZeonMatrix":
-        return self + (-other)
+        return self._new(combine([(1, self.rows), (-1, self._rows_of(other))]))
 
     def __neg__(self) -> "ZeonMatrix":
-        out = ZeonMatrix(self.n)
-        for i, j, v in self.items():
-            out._set(i, j, -v)
-        return out
+        return self._new(combine([(-1, self.rows)]))
 
     def __matmul__(self, other: "ZeonMatrix") -> "ZeonMatrix":
-        self._check_compat(other)
-        out = ZeonMatrix(self.n)
-        for i, arow in self.rows.items():
-            acc: dict[int, int] = {}
-            for k, av in arow.items():
-                brow = other.rows.get(k)
-                if not brow:
-                    continue
-                for j, bv in brow.items():
-                    acc[j] = acc.get(j, 0) + av * bv
-            cleaned = {j: v for j, v in acc.items() if v != 0}
-            if cleaned:
-                out.rows[i] = cleaned
-        return out
+        return self._new(mat_mul(self.rows, self._rows_of(other)))
 
     def transpose(self) -> "ZeonMatrix":
-        out = ZeonMatrix(self.n)
-        for i, j, v in self.items():
-            out._set(j, i, v)
-        return out
+        return self._new(transpose(self.rows))
 
     def is_zero(self) -> bool:
-        return all(not r for r in self.rows.values())
+        return not self.rows
 
     def is_diagonal(self) -> bool:
         return all(i == j for i, j, _ in self.items())
 
     def diagonal(self) -> list[int]:
         return [self.get(i, i) for i in range(self.size)]
-
-    def _check_compat(self, other: "ZeonMatrix") -> None:
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: n={self.n} vs n={other.n}")
 
     def to_coordinate_text(self, name: str = "") -> str:
         """Coordinate form: header with n, then 'row col value' per nonzero."""

@@ -1,4 +1,5 @@
 """Tests for the exact algebra-structure statistics."""
+import copy
 from fractions import Fraction
 
 import pytest
@@ -275,3 +276,13 @@ def test_nested_list_and_rational_generators_reach_the_elimination():
     assert centralizer_dimension([[[Fraction(1, 2), 1], [0, Fraction(1, 3)]]]) == 2
     rational = [[[Fraction(1, 2), 0, 1], [0, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 3]]]
     assert center_dimension(rational) == center_by_definition(rational)
+
+
+@pytest.mark.parametrize("gens", [
+    *(family_generators(family, n) for family in Family for n in (1, 2, 3)),
+    [op_T(3)],  # not closed under transpose: the commutant elimination runs
+], ids=[*(f"{family.value}-{n}" for family in Family for n in (1, 2, 3)), "T-alone"])
+def test_algebra_stats_leaves_zeon_generators_unchanged(gens):
+    before = [copy.deepcopy(g.rows) for g in gens]
+    algebra_stats(gens)
+    assert [g.rows for g in gens] == before

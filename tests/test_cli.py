@@ -1,5 +1,6 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -159,6 +160,23 @@ def test_zeon_non_integer_index_exits_2_with_message(capsys):
         assert err.startswith("error: ") and token in err
 
 
+@pytest.mark.parametrize("r_list,per_column", [
+    ([Fraction(0), Fraction(1), Fraction(2)], 3),  # the r = 1 sweep is reused
+    ([Fraction(0), Fraction(2)], 3),  # no r = 1 in the list: one more sweep
+], ids=["with-1", "without-1"])
+def test_sums_sweeps_the_general_theorem_once_per_r_and_column(monkeypatch, r_list, per_column):
+    calls = []
+    sweep = cli.sweep_sum_squares_general
+
+    def counting(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(cli, "sweep_sum_squares_general", counting)
+    assert cli._t_sums(4, tuple(r_list)).ok
+    assert len(calls) == per_column * 5  # columns j = 0..4
+
+
 def test_pool_size_is_clamped_to_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert pool_size(1, 50) == 1
@@ -232,6 +250,38 @@ def test_env_var_default_format(capsys, monkeypatch):
     code, out, _ = run(capsys, "matrix", "--n", "1", "--r", "1")
     assert code == 0
     assert json.loads(out)["N"] == 1
+
+
+ACCEPTED = {"matrix": "pretty, csv, json", "verify": "text, json",
+            "zeon": "coord, json", "algebra": "text, json"}
+FORMAT_ARGV = {
+    "matrix": ["matrix", "--n", "1"],
+    "verify": ["verify", "--suite", "pascal", "--max-n", "1"],
+    "zeon": ["zeon", "--n", "1", "--op", "T"],
+    "algebra": ["algebra", "--n", "1", "--family", "U"],
+}
+
+
+@pytest.mark.parametrize("command,value", [
+    *((command, "xml") for command in FORMAT_ARGV), ("verify", "csv"),
+])
+def test_env_var_format_outside_the_choices_exits_2(capsys, monkeypatch, command, value):
+    monkeypatch.setenv("KRAWTCHOUK_FORMAT", value)
+    with pytest.raises(SystemExit) as exc:
+        main(FORMAT_ARGV[command])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"KRAWTCHOUK_FORMAT='{value}' is not a format of {command}" in captured.err
+    assert f"accepted: {ACCEPTED[command]}\n" in captured.err
+
+
+@pytest.mark.parametrize("command", FORMAT_ARGV)
+def test_explicit_format_wins_over_a_bad_env_var(capsys, monkeypatch, command):
+    monkeypatch.setenv("KRAWTCHOUK_FORMAT", "xml")
+    code, out, _ = run(capsys, *FORMAT_ARGV[command], "--format", "json")
+    assert code == 0
+    assert json.loads(out)["schema"] == 1
 
 
 @pytest.mark.parametrize("argv", [

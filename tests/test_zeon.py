@@ -2,17 +2,21 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krawtchouk.combinatorics import binomial
 from krawtchouk.zeon import (
     ANNIHILATED,
     ZeonMatrix,
+    combine,
     layer,
     lower_op,
+    mat_mul,
     op_T,
     op_Tstar,
     op_U,
     raise_op,
+    transpose,
     zeon_mul,
 )
 
@@ -142,3 +146,76 @@ def test_json_export():
     doc_t = op_T(1).to_json_dict("T")
     assert doc_t["entries"] == [[1, 0, 1]]
     assert "diagonal" not in doc_t
+
+
+# ---------------------------------------------------------------------------
+# laws of the sparse kernel, on random sparse integer matrices at n <= 3
+# ---------------------------------------------------------------------------
+
+@st.composite
+def zeon_matrices(draw, count):
+    """``count`` random sparse integer ZeonMatrix values sharing one n <= 3."""
+    n = draw(st.integers(0, 3))
+    index = st.integers(0, (1 << n) - 1)
+    entries = st.dictionaries(st.tuples(index, index), st.integers(-4, 4), max_size=12)
+    return [ZeonMatrix(n, draw(entries)) for _ in range(count)]
+
+
+def keeps_invariant(rows: dict) -> bool:
+    """No zero entry and no empty row."""
+    return all(row and all(row.values()) for row in rows.values())
+
+
+def dense(rows: dict, size: int) -> list[list[int]]:
+    return [[rows.get(i, {}).get(j, 0) for j in range(size)] for i in range(size)]
+
+
+def dense_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeon_matrices(3))
+def test_kernel_laws(mats):
+    A, B, C = mats
+    results = {
+        "assoc-left": (A @ B) @ C,
+        "assoc-right": A @ (B @ C),
+        "transpose-of-product": (A @ B).transpose(),
+        "product-of-transposes": B.transpose() @ A.transpose(),
+        "left-distributed": A @ (B + C),
+        "right-distributed": A @ B + A @ C,
+        "self-difference": A - A,
+        "negation": -A,
+    }
+    assert all(keeps_invariant(M.rows) for M in results.values())
+    assert results["assoc-left"] == results["assoc-right"]
+    assert results["transpose-of-product"] == results["product-of-transposes"]
+    assert results["left-distributed"] == results["right-distributed"]
+    assert results["self-difference"].is_zero()
+    assert results["self-difference"] == ZeonMatrix(A.n)
+    assert A + results["negation"] == ZeonMatrix(A.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeon_matrices(2), st.integers(-3, 3), st.integers(-3, 3))
+def test_kernel_matches_dense_arithmetic(mats, a, b):
+    A, B = mats
+    dA, dB = dense(A.rows, A.size), dense(B.rows, B.size)
+    results = [
+        (mat_mul(A.rows, B.rows), dense_mul(dA, dB)),
+        (combine([(a, A.rows), (b, B.rows)]),
+         [[a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(dA, dB)]),
+        (transpose(A.rows), [list(col) for col in zip(*dA)]),
+    ]
+    for rows, expected in results:
+        assert keeps_invariant(rows)
+        assert dense(rows, A.size) == expected
+
+
+def test_kernel_leaves_its_arguments_unchanged():
+    A, B = op_T(3), op_Tstar(3)
+    before = (repr(A.rows), repr(B.rows))
+    mat_mul(A.rows, B.rows), combine([(2, A.rows), (-1, B.rows)]), transpose(A.rows)
+    A @ B, A + B, A - B, -A, A.transpose()
+    assert (repr(A.rows), repr(B.rows)) == before
