@@ -472,38 +472,36 @@ def component_consistency(comps: ComponentSpec, stats: AlgebraStats) -> Identity
     return rep
 
 
-def degree_via_krawtchouk(n: int) -> tuple[Fraction, Fraction]:
+def degree_via_krawtchouk(n: int) -> tuple[int, int]:
     """Degree of the T/T* family via a Krawtchouk half-range product sum."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     N = n + 1
-    M = build_matrix(N, Fraction(1))
-    lhs = sum(
-        (M.entry(1, a) * M.entry(a, 1) for a in range(n // 2 + 1)), Fraction(0)
-    )
-    return lhs, Fraction(2) ** n
+    M = build_matrix(N, 1)
+    lhs = sum(M.entry(1, a) * M.entry(a, 1) for a in range(n // 2 + 1))
+    return lhs, 2 ** n
 
 
-def delta_via_row_squares(n: int) -> tuple[Fraction, Fraction]:
+def delta_via_row_squares(n: int) -> tuple[int, int]:
     """Algebra dimension of the T/T* family as a sum of squared odd degrees."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lhs = Fraction(sum((n + 1 - 2 * a) ** 2 for a in range(n // 2 + 1)))
-    return lhs, Fraction(binomial(n + 3, 3))
+    lhs = sum((n + 1 - 2 * a) ** 2 for a in range(n // 2 + 1))
+    return lhs, binomial(n + 3, 3)
 
 
-def zeta_via_theorem(n: int) -> tuple[Fraction, Fraction]:
+def zeta_via_theorem(n: int) -> tuple[int, int]:
     """Centralizer dimension of the TT*/T*T family via the sum-of-squares identity."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     N = n + 1
     m = N // 2
-    M = build_matrix(N, Fraction(1))
-    lhs = sum(((N - 2 * a) * M.entry(a, 1) ** 2 for a in range(m + 1)), Fraction(0))
+    M = build_matrix(N, 1)
+    lhs = sum((N - 2 * a) * M.entry(a, 1) ** 2 for a in range(m + 1))
     if n % 2 == 0:
-        rhs = Fraction(binomial(n, n // 2) ** 2)
+        rhs = binomial(n, n // 2) ** 2
     else:
-        rhs = Fraction(2 * binomial(n, n // 2) * binomial(n - 1, n // 2))
+        rhs = 2 * binomial(n, n // 2) * binomial(n - 1, n // 2)
     return lhs, rhs
 
 

@@ -41,7 +41,7 @@ from .matrices import (
     verify_recurrence_j,
     verify_sign_symmetries,
 )
-from .report import IdentityReport, render_rational
+from .report import IdentityReport, render_rational, render_side
 from .zeon import ZeonMatrix, layer, lower_op, op_T, op_Tstar, op_U, raise_op
 
 DEFAULT_R_LIST = [
@@ -49,9 +49,10 @@ DEFAULT_R_LIST = [
     Fraction(3, 7), Fraction(-2), Fraction(5),
 ]
 
-# Largest sizes the CLI accepts. The builder costs about N^3 rational
-# operations: on a 2-core 3.11 host, matrix --n 160 takes about 20 s and
-# verify --suite all --max-n 24 about 24 s; twice the size is minutes.
+# Largest sizes the CLI accepts. The builder costs about N^3 operations, in
+# ints at r = 1 and in rationals otherwise. On a 2-core 3.11 host, matrix
+# --n 160 takes about 1.6 s at r = 1 and 21-25 s at r = 3/7, and verify
+# --suite all --max-n 24 about 6.5 s; twice the size at r != 1 is minutes.
 MAX_MATRIX_N = 160
 MAX_VERIFY_N = 24
 
@@ -109,8 +110,8 @@ def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
                 general[r, j] = sweep_sum_squares_general(N, r, j, M, M1)
                 for m, (lhs, rhs) in enumerate(general[r, j]):
                     rep.record(("thm-sqsum", r, j, m), lhs, rhs)
-        Ms = build_matrix(N, Fraction(1))
-        Ms1 = build_matrix(N - 1, Fraction(1))
+        Ms = build_matrix(N, 1)
+        Ms1 = build_matrix(N - 1, 1)
         for j in range(N + 1):
             symmetric = sweep_sum_squares_symmetric(N, j, Ms, Ms1)
             at_1 = general.get((1, j)) or sweep_sum_squares_general(
@@ -119,7 +120,7 @@ def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
                 rep.record(("symm-sqsum", j, m), lhs, rhs)
                 rep.record(("symm-vs-general", j, m), (lhs, rhs), at_1[m])
             # full-column weighted square sum vanishes by the sign symmetry
-            rep.record(("full-column-zero", j), symmetric[N][0], Fraction(0))
+            rep.record(("full-column-zero", j), symmetric[N][0], 0)
         for j in range(2, N + 1):
             for m, (lhs, rhs1, rhs2) in enumerate(sweep_partial_sum_plain(N, j, Ms, Ms1)):
                 rep.record(("plain-partial-1", j, m), lhs, rhs1)
@@ -149,7 +150,7 @@ def _t_colsquares_integrality(max_N: int) -> IdentityReport:
 
 def _t_central_rows(N: int) -> IdentityReport:
     rep = IdentityReport(suite=f"central-row N={N}")
-    M = build_matrix(N, Fraction(1))
+    M = build_matrix(N, 1)
     m = N // 2
     for j in range(N + 1):
         rep.record((N, j), central_row_value(N, j), M.entry(m, j))
@@ -206,7 +207,7 @@ def _t_zeon(n: int) -> IdentityReport:
 def _t_injected_fault() -> IdentityReport:
     """Deliberately corrupted matrix comparison, exercising the exit-1 path."""
     rep = IdentityReport(suite="injected-fault")
-    M = build_matrix(4, Fraction(1))
+    M = build_matrix(4, 1)
     corrupted = [list(row) for row in M.entries]
     corrupted[1][0] += 1
     for n in range(5):
@@ -337,7 +338,8 @@ def cmd_verify(args) -> int:
             status = "ok" if r.ok else f"FAIL ({r.failure_count})"
             sys.stdout.write(f"{r.suite}: {r.cases} cases, {status}\n")
             for f in r.failures[:5]:
-                sys.stdout.write(f"  mismatch {f.params}: {f.left} != {f.right}\n")
+                left, right = render_side(f.left), render_side(f.right)
+                sys.stdout.write(f"  mismatch {f.params}: {left} != {right}\n")
         sys.stdout.write(
             f"total: {total_cases} cases, {total_failures} failures\n"
         )

@@ -1,9 +1,10 @@
 """Summation theorems and special-value closed forms for Krawtchouk matrices.
 
-All checks compare exact rationals; there are no tolerances. Where a term
-carries an explicitly zero coefficient (factor j = 0 or N-j = 0), the term
-is dropped before its matrix index is resolved. A degree index above the
-matrix size reads as 0: it asks for a coefficient beyond the polynomial's
+All checks compare exact rationals; there are no tolerances. The symmetric
+(r = 1) checks run in ints, on the integer matrices the builder gives there.
+Where a term carries an explicitly zero coefficient (factor j = 0 or N-j = 0),
+the term is dropped before its matrix index is resolved. A degree index above
+the matrix size reads as 0: it asks for a coefficient beyond the polynomial's
 degree.
 """
 from __future__ import annotations
@@ -14,9 +15,6 @@ from .combinatorics import binomial, catalan, super_catalan
 from .matrices import KrawtchoukMatrix, build_matrix
 from .report import IdentityReport
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def _prefix(sweep: list, N: int, j: int, m: int):
     """Entry m of a column sweep; m outside the sweep is a parameter error."""
@@ -26,13 +24,13 @@ def _prefix(sweep: list, N: int, j: int, m: int):
 
 
 def _levels(N: int, r, M: KrawtchoukMatrix | None, M1: KrawtchoukMatrix | None):
-    """Rows of the level-N matrix and of the level-(N-1) matrix, the latter
-    zero-extended by one row: its degree-N coefficients are 0."""
+    """Rows of the level-N matrix, rows of the level-(N-1) matrix zero-extended
+    by one row (its degree-N coefficients are 0), and the entries' zero."""
     if M is None:
         M = build_matrix(N, r)
     if M1 is None:
         M1 = build_matrix(N - 1, r)
-    return M.entries, M1.entries + ((ZERO,) * N,)
+    return M.entries, M1.entries + ((M1.zero,) * N,), M.zero
 
 
 def sweep_sum_squares_general(N: int, r, j: int,
@@ -56,16 +54,16 @@ def sweep_sum_squares_general(N: int, r, j: int,
         raise ZeroDivisionError("the factor (1-r)/(1+r) is undefined at r = -1")
     if N < 1 or not 0 <= j <= N:
         raise ValueError(f"bad parameters N={N} j={j}")
-    rows, prev = _levels(N, r, M, M1)
+    rows, prev, zero = _levels(N, r, M, M1)
     rj = r * j
     factor = Fraction(1 - r, 1 + r) * j
-    lhs = tail = ZERO
+    lhs = tail = zero
     out = []
     for n in range(N + 1):
         x = rows[n][j]
         sq = x * x
         lhs += (N - 2 * n) * sq
-        rhs = ZERO
+        rhs = zero
         if N - j != 0:
             y = prev[n][j]
             rhs += (N - j) * (y * y)
@@ -80,20 +78,20 @@ def sweep_sum_squares_general(N: int, r, j: int,
 def sweep_sum_squares_symmetric(N: int, j: int,
                                 M: KrawtchoukMatrix | None = None,
                                 M1: KrawtchoukMatrix | None = None
-                                ) -> list[tuple[Fraction, Fraction]]:
+                                ) -> list[tuple[int, int]]:
     """(lhs, rhs) of the symmetric-case (r = 1) sum of squares for every prefix m = 0..N.
 
     sum_{n=0}^m (N-2n) phi[n][j]^2 = (N-j) phi'[m][j]^2 + j phi'[m][j-1]^2.
     """
     if N < 1 or not 0 <= j <= N:
         raise ValueError(f"bad parameters N={N} j={j}")
-    rows, prev = _levels(N, ONE, M, M1)
-    lhs = ZERO
+    rows, prev, zero = _levels(N, 1, M, M1)
+    lhs = zero
     out = []
     for n in range(N + 1):
         x = rows[n][j]
         lhs += (N - 2 * n) * (x * x)
-        rhs = ZERO
+        rhs = zero
         if N - j != 0:
             y = prev[n][j]
             rhs += (N - j) * (y * y)
@@ -107,7 +105,7 @@ def sweep_sum_squares_symmetric(N: int, j: int,
 def sweep_partial_sum_plain(N: int, j: int,
                             M: KrawtchoukMatrix | None = None,
                             M1: KrawtchoukMatrix | None = None
-                            ) -> list[tuple[Fraction, Fraction, Fraction]]:
+                            ) -> list[tuple[int, int, int]]:
     """(lhs, rhs1, rhs2) of the weighted partial sum without squares, r = 1, j >= 2,
     for every prefix m = 0..N; all three are equal.
 
@@ -118,8 +116,8 @@ def sweep_partial_sum_plain(N: int, j: int,
         raise ValueError(f"partial sums require j >= 2, got j={j}")
     if N < 1 or j > N:
         raise ValueError(f"bad parameters N={N} j={j}")
-    rows, prev = _levels(N, ONE, M, M1)
-    lhs = ZERO
+    rows, prev, zero = _levels(N, 1, M, M1)
+    lhs = zero
     out = []
     for n in range(N + 1):
         lhs += (N - 2 * n) * rows[n][j]
@@ -134,12 +132,12 @@ def sweep_partial_sum_plain(N: int, j: int,
 def sweep_column_sum_relation(N: int, j: int,
                               M: KrawtchoukMatrix | None = None,
                               M1: KrawtchoukMatrix | None = None
-                              ) -> list[tuple[Fraction, Fraction]]:
+                              ) -> list[tuple[int, int]]:
     """(phi'[m][j], sum_{n=0}^m phi[n][j+1]) for every prefix m = 0..N-1, r = 1."""
     if N < 1 or not 0 <= j <= N - 1:
         raise ValueError(f"bad parameters N={N} j={j}")
-    rows, prev = _levels(N, ONE, M, M1)
-    rhs = ZERO
+    rows, prev, zero = _levels(N, 1, M, M1)
+    rhs = zero
     out = []
     for n in range(N):
         rhs += rows[n][j + 1]
@@ -156,7 +154,7 @@ def sum_squares_general(N: int, r, j: int, m: int,
 
 def sum_squares_symmetric(N: int, j: int, m: int,
                           M: KrawtchoukMatrix | None = None,
-                          M1: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
+                          M1: KrawtchoukMatrix | None = None) -> tuple[int, int]:
     """Prefix m of ``sweep_sum_squares_symmetric``: the r = 1 theorem's (lhs, rhs)."""
     return _prefix(sweep_sum_squares_symmetric(N, j, M, M1), N, j, m)
 
@@ -164,45 +162,43 @@ def sum_squares_symmetric(N: int, j: int, m: int,
 def partial_sum_plain(N: int, j: int, m: int,
                       M: KrawtchoukMatrix | None = None,
                       M1: KrawtchoukMatrix | None = None
-                      ) -> tuple[Fraction, Fraction, Fraction]:
+                      ) -> tuple[int, int, int]:
     """Prefix m of ``sweep_partial_sum_plain``: (lhs, rhs1, rhs2), all equal."""
     return _prefix(sweep_partial_sum_plain(N, j, M, M1), N, j, m)
 
 
 def column_sum_relation(N: int, j: int, m: int,
                         M: KrawtchoukMatrix | None = None,
-                        M1: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
+                        M1: KrawtchoukMatrix | None = None) -> tuple[int, int]:
     """Prefix m of ``sweep_column_sum_relation``: Phi^(N-1)[m][j] and the partial
     column sum of column j+1 at level N."""
     return _prefix(sweep_column_sum_relation(N, j, M, M1), N, j, m)
 
 
 def column_sum_of_squares(N: int, j: int,
-                          M: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
+                          M: KrawtchoukMatrix | None = None) -> tuple[int, Fraction]:
     """Full sum of squares down column j versus its binomial closed form."""
     if not 0 <= j <= N:
         raise ValueError(f"bad parameters N={N} j={j}")
     if M is None:
-        M = build_matrix(N, ONE)
-    brute = sum((M.entry(i, j) ** 2 for i in range(N + 1)), Fraction(0))
+        M = build_matrix(N, 1)
+    brute = sum(M.entry(i, j) ** 2 for i in range(N + 1))
     closed = Fraction(binomial(2 * N - 2 * j, N - j) * binomial(2 * j, j), binomial(N, j))
     return brute, closed
 
 
 def row_sum_of_squares(N: int, i: int,
-                       M: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
+                       M: KrawtchoukMatrix | None = None) -> tuple[int, int]:
     """Full sum of squares along row i versus its binomial-sum closed form."""
     if not 0 <= i <= N:
         raise ValueError(f"bad parameters N={N} i={i}")
     if M is None:
-        M = build_matrix(N, ONE)
-    brute = sum((M.entry(i, j) ** 2 for j in range(N + 1)), Fraction(0))
+        M = build_matrix(N, 1)
+    brute = sum(M.entry(i, j) ** 2 for j in range(N + 1))
     # terms with 2k > N carry the zero factor C(N+1, 2k+1) and are dropped
-    closed = Fraction(
-        sum(
-            binomial(N + 1, 2 * k + 1) * binomial(2 * k, k) * binomial(N - 2 * k, i - k)
-            for k in range(min(i, N // 2) + 1)
-        )
+    closed = sum(
+        binomial(N + 1, 2 * k + 1) * binomial(2 * k, k) * binomial(N - 2 * k, i - k)
+        for k in range(min(i, N // 2) + 1)
     )
     return brute, closed
 
@@ -225,15 +221,15 @@ def central_row_value(N: int, j: int) -> Fraction:
     )
 
 
-def column_square_central_link(m: int, j: int) -> tuple[Fraction, Fraction]:
+def column_square_central_link(m: int, j: int) -> tuple[int, int]:
     """Sum of squares of column j/2 at level m versus the central entry at level 2m."""
     if j % 2 != 0:
         raise ValueError(f"the link requires even j, got j={j}")
     if m < 0 or not 0 <= j // 2 <= m:
         raise ValueError(f"bad parameters m={m} j={j}")
-    M = build_matrix(m, ONE)
-    lhs = sum((M.entry(i, j // 2) ** 2 for i in range(m + 1)), Fraction(0))
-    rhs = (-1) ** (j // 2) * build_matrix(2 * m, ONE).entry(m, j)
+    M = build_matrix(m, 1)
+    lhs = sum(M.entry(i, j // 2) ** 2 for i in range(m + 1))
+    rhs = (-1) ** (j // 2) * build_matrix(2 * m, 1).entry(m, j)
     return lhs, rhs
 
 
@@ -256,13 +252,13 @@ def catalan_connection_report(m: int) -> IdentityReport:
     if m < 1:
         raise ValueError(f"catalan connection requires m >= 1, got m={m}")
     rep = IdentityReport(suite=f"catalan-connection m={m}")
-    Cm = Fraction(catalan(m))
-    even = build_matrix(2 * m, ONE)
-    odd = build_matrix(2 * m + 1, ONE)
+    Cm = catalan(m)
+    even = build_matrix(2 * m, 1)
+    odd = build_matrix(2 * m + 1, 1)
     cases = [
         (even, m - 1, 1, Cm),
         (even, m + 1, 1, -Cm),
-        (even, m, 2, Fraction(-2 * catalan(m - 1))),
+        (even, m, 2, -2 * catalan(m - 1)),
         (odd, m, 1, Cm),
         (odd, m, 2, -Cm),
         (odd, m + 1, 1, -Cm),

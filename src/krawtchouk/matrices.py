@@ -2,8 +2,11 @@
 
 Column j of the (N+1) x (N+1) matrix holds the coefficient sequence of
 (1+z)^(N-j) (1-rz)^j, expanded by exact polynomial convolution. Rows are
-indexed by degree n, columns by evaluation point j. The symmetric case is
-r = 1, where every entry is an integer.
+indexed by degree n, columns by evaluation point j.
+
+The symmetric case r = 1 is expanded and checked in Python ints: every entry
+of its matrix is an ``int``. For every other r, integral ones included, every
+entry is a ``Fraction``.
 
 Built matrices are memoized on (N, r): the identities relate neighbouring
 levels, so a verification sweep asks for the same level many times. The CLI
@@ -18,8 +21,9 @@ from functools import lru_cache
 from .combinatorics import binomial
 from .report import IdentityReport
 
-def _convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _convolve(a: list, b: list) -> list:
+    """Product of two coefficient lists, in the type of their coefficients."""
+    out = [type(a[0])()] * (len(a) + len(b) - 1)  # int() is 0, Fraction() is 0
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -31,19 +35,24 @@ def _convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 class KrawtchoukMatrix:
     N: int
     r: Fraction
-    entries: tuple[tuple[Fraction, ...], ...]  # [n][j], degree x evaluation
+    entries: tuple[tuple[int | Fraction, ...], ...]  # [n][j], degree x evaluation
 
-    def entry(self, n: int, j: int) -> Fraction:
+    @property
+    def zero(self) -> int | Fraction:
+        """The zero of the entries' type: the int 0 at r = 1, else Fraction(0)."""
+        return type(self.entries[0][0])()
+
+    def entry(self, n: int, j: int) -> int | Fraction:
         """Entry [n][j]; n = -1 returns the boundary value 0."""
         if not 0 <= j <= self.N:
             raise IndexError(f"column index j={j} outside [0, {self.N}]")
         if n == -1:
-            return Fraction(0)
+            return self.zero
         if not 0 <= n <= self.N:
             raise IndexError(f"row index n={n} outside [-1, {self.N}]")
         return self.entries[n][j]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[int | Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 
     def is_integral(self) -> bool:
@@ -66,15 +75,21 @@ def build_matrix(N: int, r) -> KrawtchoukMatrix:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _expand(N: int, r: Fraction) -> KrawtchoukMatrix:
-    """Expand (1+z)^(N-j) (1-rz)^j for each column j, by exact convolution."""
+    """Expand (1+z)^(N-j) (1-rz)^j for each column j, by exact convolution.
+
+    At r = 1 the coefficients are ints, so the expansion runs in integer
+    arithmetic; every other r expands in Fractions. Each column takes N
+    convolutions with a linear factor, so it has exactly N + 1 coefficients.
+    """
+    one, step = (1, -1) if r == 1 else (Fraction(1), -r)
+    plus, minus = [one, one], [one, step]
     columns = []
     for j in range(N + 1):
-        poly = [Fraction(1)]
+        poly = [one]
         for _ in range(N - j):
-            poly = _convolve(poly, [Fraction(1), Fraction(1)])
+            poly = _convolve(poly, plus)
         for _ in range(j):
-            poly = _convolve(poly, [Fraction(1), -r])
-        poly += [Fraction(0)] * (N + 1 - len(poly))
+            poly = _convolve(poly, minus)
         columns.append(poly)
     entries = tuple(tuple(columns[j][n] for j in range(N + 1)) for n in range(N + 1))
     return KrawtchoukMatrix(N=N, r=r, entries=entries)
@@ -137,12 +152,12 @@ def verify_involution(N: int) -> IdentityReport:
     2^N delta_ij.
     """
     rep = IdentityReport(suite=f"involution N={N}")
-    M = build_matrix(N, Fraction(1))
-    two_N = Fraction(2) ** N
+    M = build_matrix(N, 1)
+    two_N = 2 ** N
     for i in range(N + 1):
         for j in range(N + 1):
             prod = sum(M.entries[i][k] * M.entries[k][j] for k in range(N + 1))
-            expected = two_N if i == j else Fraction(0)
+            expected = two_N if i == j else 0
             if prod != expected:
                 rep.record((i, j), prod, expected)
                 return rep
@@ -153,7 +168,7 @@ def verify_involution(N: int) -> IdentityReport:
 def verify_sign_symmetries(N: int) -> IdentityReport:
     """Row/column sign symmetries of the symmetric (r = 1) matrix."""
     rep = IdentityReport(suite=f"sign-symmetries N={N}")
-    M = build_matrix(N, Fraction(1))
+    M = build_matrix(N, 1)
     for i in range(N + 1):
         for j in range(N + 1):
             rep.record(("col", i, j), M.entries[i][N - j], (-1) ** i * M.entries[i][j])
@@ -165,16 +180,16 @@ def verify_sign_symmetries(N: int) -> IdentityReport:
 def closed_form_row1_col01(N: int) -> IdentityReport:
     """Closed forms for row 1, column 0, and the second column at level N+1."""
     rep = IdentityReport(suite=f"rows-cols N={N}")
-    M = build_matrix(N, Fraction(1))
+    M = build_matrix(N, 1)
     if N >= 1:
         for j in range(N + 1):
-            rep.record(("row1", j), M.entries[1][j], Fraction(N - 2 * j))
+            rep.record(("row1", j), M.entries[1][j], N - 2 * j)
     for n in range(N + 1):
-        rep.record(("col0", n), M.entries[n][0], Fraction(binomial(N, n)))
-    M1 = build_matrix(N + 1, Fraction(1))
+        rep.record(("col0", n), M.entries[n][0], binomial(N, n))
+    M1 = build_matrix(N + 1, 1)
     for n in range(N + 2):
         diff = binomial(N, n) - binomial(N, n - 1)
-        rep.record(("col1-diff", n), M1.entries[n][1], Fraction(diff))
+        rep.record(("col1-diff", n), M1.entries[n][1], diff)
         if N + 1 - n != 0:
             quotient = Fraction(binomial(N, n) * (N + 1 - 2 * n), N + 1 - n)
             rep.record(("col1-quotient", n), M1.entries[n][1], quotient)
@@ -184,7 +199,7 @@ def closed_form_row1_col01(N: int) -> IdentityReport:
 def verify_binomial_conjugation(N: int) -> IdentityReport:
     """Conjugation by the binomial diagonal B: Phi B symmetric, entrywise form."""
     rep = IdentityReport(suite=f"conjugation N={N}")
-    M = build_matrix(N, Fraction(1))
+    M = build_matrix(N, 1)
     B = binomial_diagonal(N)
     for i in range(N + 1):
         for j in range(N + 1):

@@ -16,6 +16,15 @@ def render_rational(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def render_side(x: Any) -> str:
+    """One side of a failed comparison as text. A tuple prints element by element
+    with render_rational, so an int and an equal Fraction print alike."""
+    if isinstance(x, tuple):
+        return "(" + ", ".join(
+            render_rational(v) if isinstance(v, (int, Fraction)) else str(v) for v in x) + ")"
+    return str(x)
+
+
 @dataclass
 class Failure:
     params: tuple
@@ -23,11 +32,11 @@ class Failure:
     right: Any
 
     def to_json(self) -> dict:
-        return {
-            "params": [str(p) for p in self.params],
-            "left": render_rational(self.left) if isinstance(self.left, (int, Fraction)) else str(self.left),
-            "right": render_rational(self.right) if isinstance(self.right, (int, Fraction)) else str(self.right),
-        }
+        def side(x):
+            return render_rational(x) if isinstance(x, (int, Fraction)) else render_side(x)
+
+        return {"params": [str(p) for p in self.params],
+                "left": side(self.left), "right": side(self.right)}
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 import json
+import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from krawtchouk import cli
 from krawtchouk.cli import main, pool_size
+from krawtchouk.report import Failure, render_side
 
 
 def run(capsys, *argv):
@@ -296,3 +299,134 @@ def test_sizes_above_the_budget_exit_2(capsys, argv):
 
 def test_benchmark_sizes_are_inside_the_budget():
     assert cli.MAX_MATRIX_N >= 80 and cli.MAX_VERIFY_N >= 12
+
+
+# ---------------------------------------------------------------------------
+# failure rendering: an int and an equal Fraction print alike
+# ---------------------------------------------------------------------------
+
+def test_tuple_sides_of_a_failure_render_alike_for_int_and_fraction():
+    failure = Failure(("symm-vs-general", 0, 0), (3, 3), (Fraction(3), Fraction(3)))
+    doc = failure.to_json()
+    assert doc["left"] == doc["right"] == "(3, 3)"
+    assert render_side(failure.left) == render_side(failure.right) == "(3, 3)"
+    assert render_side((Fraction(-5, 9), 2)) == "(-5/9, 2)"
+
+
+@pytest.fixture
+def shifted_general_sweep(monkeypatch):
+    """Shift both sides of the general sweep at r = 1 by one: thm-sqsum still
+    holds, symm-vs-general fails with an int tuple against a mixed one."""
+    sweep = cli.sweep_sum_squares_general
+
+    def shifted(N, r, j, M=None, M1=None):
+        out = sweep(N, r, j, M, M1)
+        return [(lhs + 1, rhs + 1) for lhs, rhs in out] if r == 1 else out
+
+    monkeypatch.setattr(cli, "sweep_sum_squares_general", shifted)
+
+
+def test_symm_vs_general_failure_prints_plain_values(capsys, shifted_general_sweep):
+    argv = ["verify", "--suite", "sums", "--max-n", "1", "--r", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "  mismatch ('symm-vs-general', 0, 0): (1, 1) != (2, 2)\n" in out
+    assert "Fraction" not in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    suite = json.loads(out)["suites"][0]
+    assert suite["failures"][0] == {"params": ["symm-vs-general", "0", "0"],
+                                    "left": "(1, 1)", "right": "(2, 2)"}
+    assert "Fraction" not in out
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: any argv built from the real subcommands and flags exits 0, 1 or
+# 2 in bounded time, without a traceback
+# ---------------------------------------------------------------------------
+
+CALL_SECONDS = 30
+RATIONALS = ["1", "0", "-1", "2", "3/7", "-5/9", "1/2", "-2/3", "1.5", "-999/1000"]
+# bad tokens, bad rationals (zero and negative denominators) and sizes above
+# some budget: 161 for matrix, 25 for verify, 13 for zeon, 7 for algebra
+BAD_TOKENS = ["", "x", "--bogus", "-", "1.5.2", "0x10", "--n", "1/0", "0/0", "1/-2",
+              "-1/-2", "abc", "1//2", "/3", "-1", "0", "7", "13", "25", "161", "100000"]
+
+
+def flag(name, values):
+    """``[name, value]`` or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def flat(parts):
+    return [token for part in parts for token in part]
+
+
+# argv inside every budget: matrix --n <= 12, verify --max-n <= 5, zeon and
+# algebra --n <= 4, --jobs 1 or 2
+MATRIX_ARGV = st.tuples(
+    st.just(["matrix", "--n"]), st.integers(0, 12).map(lambda n: [str(n)]),
+    flag("--r", st.sampled_from(RATIONALS)),
+    flag("--format", st.sampled_from(["pretty", "csv", "json"])),
+).map(flat)
+VERIFY_ARGV = st.tuples(
+    st.just(["verify"]),
+    st.lists(st.sampled_from(cli.SUITE_NAMES), min_size=1, max_size=3).map(
+        lambda suites: flat(["--suite", s] for s in suites)),
+    flag("--max-n", st.integers(0, 5)),
+    st.lists(st.sampled_from(RATIONALS), max_size=3).map(lambda rs: flat(["--r", r] for r in rs)),
+    flag("--jobs", st.sampled_from([1, 2])),
+    flag("--format", st.sampled_from(["text", "json"])),
+    st.sampled_from([[], ["--inject-fault"]]),
+).map(flat)
+ZEON_ARGV = st.tuples(
+    st.just(["zeon", "--n"]), st.integers(1, 4).map(lambda n: [str(n)]),
+    st.sampled_from(["T", "Tstar", "U", "raise:1", "lower:2", "raise:9", "raise:x", "foo"]).map(
+        lambda op: ["--op", op]),
+    flag("--format", st.sampled_from(["coord", "json"])),
+).map(flat)
+ALGEBRA_ARGV = st.tuples(
+    st.just(["algebra", "--family"]), st.sampled_from([["U"], ["T"], ["TT"]]),
+    st.integers(1, 4).map(lambda n: ["--n", str(n)]),
+    st.sampled_from([[], ["--check"]]), st.sampled_from([[], ["--allow-large"]]),
+    flag("--format", st.sampled_from(["text", "json"])),
+).map(flat)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A valid argv, or one with a token replaced, inserted or deleted. A --jobs
+    value is never replaced, so no call asks for more than two workers."""
+    argv = draw(st.one_of(MATRIX_ARGV, VERIFY_ARGV, ZEON_ARGV, ALGEBRA_ARGV))
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete"]))
+    if edit == "none":
+        return argv
+    spots = [i for i in range(len(argv) + (edit == "insert"))
+             if i == 0 or argv[i - 1] != "--jobs"]
+    i = draw(st.sampled_from(spots))
+    if edit == "delete":
+        return argv[:i] + argv[i + 1:]
+    token = [draw(st.sampled_from(BAD_TOKENS))]
+    return argv[:i] + token + argv[i + (edit == "replace"):]
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError(f"a CLI call ran longer than {CALL_SECONDS} s")
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(capsys, monkeypatch, argv):
+    monkeypatch.delenv("KRAWTCHOUK_FORMAT", raising=False)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(CALL_SECONDS)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)

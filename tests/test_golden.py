@@ -31,6 +31,10 @@ CORPUS = {
     "matrix-pretty": ["matrix", "--n", "6", "--r", "3/7"],
     "matrix-csv": ["matrix", "--n", "6", "--r", "3/7", "--format", "csv"],
     "matrix-json": ["matrix", "--n", "6", "--r", "3/7", "--format", "json"],
+    "matrix-symmetric-pretty": ["matrix", "--n", "6"],
+    "matrix-symmetric-csv": ["matrix", "--n", "6", "--format", "csv"],
+    "matrix-symmetric-json": ["matrix", "--n", "6", "--format", "json"],
+    "verify-catalan-json": ["verify", "--suite", "catalan", "--max-n", "5", "--format", "json"],
     "zeon-T-coord": ["zeon", "--n", "3", "--op", "T"],
     "zeon-U-coord": ["zeon", "--n", "3", "--op", "U"],
     "zeon-Tstar-json": ["zeon", "--n", "3", "--op", "Tstar", "--format", "json"],

@@ -5,11 +5,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from krawtchouk import matrices
 from krawtchouk.cli import main
 from krawtchouk.combinatorics import binomial
+from krawtchouk.identities import (
+    sweep_column_sum_relation,
+    sweep_partial_sum_plain,
+    sweep_sum_squares_symmetric,
+)
 from krawtchouk.matrices import (
     build_matrix,
     binomial_diagonal,
@@ -210,17 +215,58 @@ def binomial_sum_oracle(N, r):
 
 EXACT_R = st.one_of(
     st.fractions(min_value=-20, max_value=20, max_denominator=30),
-    st.sampled_from([Fraction(-1), Fraction(-999, 1000), Fraction(-1001, 1000),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(-999, 1000), Fraction(-1001, 1000),
                      Fraction(-1, 1) + Fraction(1, 10**9)]),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(N=st.integers(min_value=0, max_value=20), r=EXACT_R)
+@example(N=20, r=Fraction(1))
 def test_build_matches_binomial_sum_oracle(N, r):
     M = build_matrix(N, r)
     assert M.N == N and M.r == r
     assert M.entries == binomial_sum_oracle(N, r)
+
+
+# ---------------------------------------------------------------------------
+# entry types: ints at r = 1, Fractions for every other r
+# ---------------------------------------------------------------------------
+
+def entry_types(M):
+    return {type(v) for row in M.entries for v in row}
+
+
+def test_symmetric_entries_are_ints_equal_to_the_oracle():
+    for N in range(41):
+        M = build_matrix(N, 1)
+        assert entry_types(M) == {int}
+        assert M.entries == binomial_sum_oracle(N, 1)
+
+
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(2), Fraction(-1), Fraction(3, 7)])
+def test_other_entries_are_fractions(r):
+    for N in range(13):
+        assert entry_types(build_matrix(N, r)) == {Fraction}
+        assert type(build_matrix(N, r).entry(-1, 0)) is Fraction
+
+
+def test_symmetric_boundary_entry_is_the_int_zero():
+    M = build_matrix(6, 1)
+    for j in range(7):
+        assert type(M.entry(-1, j)) is int and M.entry(-1, j) == 0
+
+
+def test_symmetric_sweeps_return_only_ints():
+    for N in range(1, 11):
+        values = []
+        for j in range(N + 1):
+            values += [v for row in sweep_sum_squares_symmetric(N, j) for v in row]
+            if j >= 2:
+                values += [v for row in sweep_partial_sum_plain(N, j) for v in row]
+            if j < N:
+                values += [v for row in sweep_column_sum_relation(N, j) for v in row]
+        assert {type(v) for v in values} == {int}
 
 
 def test_repeat_call_returns_the_memoized_matrix():
