@@ -6,8 +6,9 @@ dimension zeta of its centralizer, and the dimension z of its center, all
 exactly over the rationals (fraction-free, on integers). When the generator
 set is closed under transpose, zeta and the simple components come from the
 Wedderburn blocks of one central element; otherwise, or when a certificate
-of that path fails, zeta comes from eliminating the d^2-unknown commutant
-system. The three operator families over the Boolean lattice are wired up
+of that path fails, zeta comes from the same routine as the center: the
+combinations of the d^2 unit matrices that commute with every generator.
+The three operator families over the Boolean lattice are wired up
 here together with their closed-form predictions.
 """
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 from .combinatorics import binomial, catalan
 from .matrices import build_matrix
@@ -168,29 +168,6 @@ def _relations(vectors, width: int) -> list[dict[int, int]]:
             for lead, piv in sorted(ech.pivots.items()) if lead >= width]
 
 
-def _eliminate_singletons(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Repeatedly apply single-variable rows (variable forced to 0).
-
-    Returns (number of variables eliminated, remaining rows). Equivalent to
-    ordinary elimination steps, so the eliminated count adds to the rank.
-    """
-    zero_vars: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        remaining: list[dict[int, int]] = []
-        for row in rows:
-            if zero_vars:
-                row = {c: v for c, v in row.items() if c not in zero_vars}
-            if len(row) == 1:
-                zero_vars.add(next(iter(row)))
-                changed = True
-            elif row:
-                remaining.append(row)
-        rows = remaining
-    return len(zero_vars), rows
-
-
 # ---------------------------------------------------------------------------
 # the four structure statistics
 # ---------------------------------------------------------------------------
@@ -206,17 +183,17 @@ def _prepare(generators) -> tuple[int, list[dict]]:
     return d, [rows for _, rows in sizes_rows]
 
 
-def span_closure_basis(generators, unital: bool = True) -> tuple[int, list[dict]]:
+def span_closure_basis(generators) -> tuple[int, list[dict]]:
     """Basis of the generated algebra as row dicts; a ZeonMatrix input's rows are shared.
 
-    Starts from the identity (when unital) and the generators, repeatedly
+    Starts from the identity and the generators, repeatedly
     right-multiplies basis elements by generators, and keeps the products
     that enlarge the span. Right multiplication suffices: the seed contains
     the generators, so every word is reached, and the resulting span is
     closed under products of arbitrary elements by linearity.
     """
     d, gens = _prepare(generators)
-    return d, _span_closure(d, gens, ([_identity_rows(d)] if unital else []) + gens)
+    return d, _span_closure(d, gens, [_identity_rows(d)] + gens)
 
 
 def _span_closure(d: int, gens: list[dict], seed: list[dict],
@@ -241,72 +218,30 @@ def _span_closure(d: int, gens: list[dict], seed: list[dict],
     return basis
 
 
-def span_closure_dimension(generators, unital: bool = True) -> int:
+def span_closure_dimension(generators) -> int:
     """Dimension of the unital algebra generated by the given matrices."""
-    return len(span_closure_basis(generators, unital)[1])
-
-
-def _commutator_rows(d: int, A: dict) -> list[dict[int, int]]:
-    """Constraint rows of X A - A X = 0 in the d^2 unknowns X[k][l] (row-major)."""
-    cols = transpose(A)
-    out: list[dict[int, int]] = []
-    for i in range(d):
-        arow = A.get(i, {})
-        for j in range(d):
-            acol = cols.get(j, {})
-            coeffs: dict[int, int] = {}
-            for l, v in acol.items():  # (X A)[i][j] term: X[i][l] * A[l][j]
-                coeffs[i * d + l] = coeffs.get(i * d + l, 0) + v
-            for k, v in arow.items():  # (A X)[i][j] term: A[i][k] * X[k][j]
-                coeffs[k * d + j] = coeffs.get(k * d + j, 0) - v
-            coeffs = {c: v for c, v in coeffs.items() if v != 0}
-            if coeffs:
-                out.append(coeffs)
-    return out
-
-
-def _augment_constraints(gens: list[dict]) -> list[dict]:
-    """Add pairwise commutators and differences of the generators.
-
-    Anything commuting with two generators commutes with their difference
-    and their commutator, so the joint nullspace is unchanged; the extra
-    matrices are often much sparser (diagonal, here) and make the
-    elimination cheap.
-    """
-    aug = list(gens)
-    for a, b in combinations(gens, 2):
-        for extra in (_commutator(a, b), combine([(1, a), (-1, b)])):
-            if extra:
-                aug.append(extra)
-    return aug
+    return len(span_closure_basis(generators)[1])
 
 
 def centralizer_dimension(generators) -> int:
     """Dimension of the space of matrices commuting with every generator."""
     d, gens = _prepare(generators)
-    rows: list[dict[int, int]] = []
-    for g in _augment_constraints(gens):
-        rows.extend(_commutator_rows(d, g))
-    eliminated, remaining = _eliminate_singletons(rows)
-    remaining.sort(key=len)
-    ech = ExactEchelon()
-    for row in remaining:
-        ech.insert(row)
-    rank = eliminated + ech.rank
-    return d * d - rank
+    return len(_commuting(d, gens, ({k: {l: 1}} for k in range(d) for l in range(d))))
 
 
 def center_dimension(generators) -> int:
     """Dimension of the center: algebra elements commuting with all generators."""
     d, gens = _prepare(generators)
-    return len(_center_basis(d, gens, _span_closure(d, gens, [_identity_rows(d)] + gens)))
+    return len(_commuting(d, gens, _span_closure(d, gens, [_identity_rows(d)] + gens)))
 
 
-def _center_basis(d: int, gens: list[dict], basis: list[dict]) -> list[dict[int, int]]:
-    """Center of span(basis), as coefficient vectors over the basis.
+def _commuting(d: int, gens: list[dict], elements) -> list[dict[int, int]]:
+    """The combinations of ``elements`` that commute with every generator, as
+    coefficient vectors {k: x_k}: over the unit matrices they span the
+    centralizer, over an algebra basis the center.
 
-    One tagged echelon pass over the commutators [b_k, g] of every basis
-    element with every generator; the relations among them are the center.
+    One tagged echelon pass over the commutators [b_k, g] of every element
+    with every generator; the relations among them are the answer.
     """
     def commutators(b):
         vec: dict[int, int] = {}
@@ -315,7 +250,7 @@ def _center_basis(d: int, gens: list[dict], basis: list[dict]) -> list[dict[int,
                 vec[idx * d * d + c] = v
         return vec
 
-    return _relations(map(commutators, basis), len(gens) * d * d)
+    return _relations(map(commutators, elements), len(gens) * d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +345,10 @@ def _wedderburn_components(d: int, gens: list[dict], basis: list[dict],
 
 def algebra_stats(generators) -> tuple[AlgebraStats, ComponentSpec | None]:
     """(d, delta, zeta, z) of the generated unital algebra, and its computed
-    components, or None for them when zeta came from the commutant elimination."""
+    components, or None for them when zeta came from the unit-matrix fallback."""
     d, gens = _prepare(generators)
     basis = _span_closure(d, gens, [_identity_rows(d)] + gens)
-    center = _center_basis(d, gens, basis)
+    center = _commuting(d, gens, basis)
     comps = _wedderburn_components(d, gens, basis, center)
     zeta = comps.centralizer_dim if comps else centralizer_dimension(generators)
     return AlgebraStats(d=d, delta=len(basis), zeta=zeta, z=len(center)), comps
@@ -530,7 +465,8 @@ class AlgebraComparison:
     matches: dict[str, bool] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     # (m_i, d_i) per Wedderburn block, ascending by the eigenvalue that
-    # separated it; None when zeta came from the commutant elimination.
+    # separated it; None when zeta came from the commuting combinations of
+    # the d^2 unit matrices, the routine that also gives the center.
     # Library only: to_json and the CLI text leave it out.
     computed_components: ComponentSpec | None = None
 

@@ -55,6 +55,10 @@ DEFAULT_R_LIST = [
 # --suite all --max-n 24 about 6.5 s; twice the size at r != 1 is minutes.
 MAX_MATRIX_N = 160
 MAX_VERIFY_N = 24
+# Most decimal digits in the numerator and in the denominator of an r. At this
+# cap an entry of matrix --n 160 has at most about 1920 digits in each part,
+# under Python's 4300-digit str limit; r = 999999999999/999999999998 takes 56 s.
+MAX_R_DIGITS = 12
 
 SUITE_NAMES = [
     "pascal", "recurrence", "involution", "symmetries", "rows-cols",
@@ -83,10 +87,19 @@ def pool_size(jobs: int, n_tasks: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational 'num/den' or integer: {text!r}") from exc
+    """An r within the MAX_R_DIGITS budget. An exponent of five or more digits
+    is refused before Fraction forms 10**exponent: 1e10000000 takes 12 s."""
+    exponent = re.search(r"[eE][-+]?([\d_]+)", text)
+    if not exponent or len(exponent[1].replace("_", "").lstrip("0")) < 5:
+        try:
+            r = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"not a rational 'num/den' or integer: {text!r}") from exc
+        if max(abs(r.numerator), r.denominator) < 10 ** MAX_R_DIGITS:
+            return r
+    raise argparse.ArgumentTypeError(
+        f"{text} exceeds the budget ({MAX_R_DIGITS} digits in numerator and denominator)")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +352,7 @@ def cmd_verify(args) -> int:
             sys.stdout.write(f"{r.suite}: {r.cases} cases, {status}\n")
             for f in r.failures[:5]:
                 left, right = render_side(f.left), render_side(f.right)
-                sys.stdout.write(f"  mismatch {f.params}: {left} != {right}\n")
+                sys.stdout.write(f"  mismatch {render_side(f.params)}: {left} != {right}\n")
         sys.stdout.write(
             f"total: {total_cases} cases, {total_failures} failures\n"
         )

@@ -7,8 +7,6 @@ first.
 """
 from __future__ import annotations
 
-import json
-
 ANNIHILATED = None  # result of a zeon product with a repeated generator
 
 
@@ -178,9 +176,6 @@ class ZeonMatrix:
         if self.is_diagonal():
             d["diagonal"] = self.diagonal()
         return d
-
-    def to_json(self, name: str = "") -> str:
-        return json.dumps(self.to_json_dict(name), sort_keys=True)
 
 
 def raise_op(n: int, i: int) -> ZeonMatrix:

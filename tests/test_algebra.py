@@ -33,16 +33,10 @@ def identity_matrix(d):
 
 def test_span_closure_examples():
     assert span_closure_dimension([op_U(2)]) == 3
+    assert span_closure_dimension([[[0, 1], [0, 0]]]) == 2  # nilpotent: identity and itself
     assert span_closure_dimension([identity_matrix(4)]) == 1
     T, Ts = op_T(2), op_Tstar(2)
     assert span_closure_dimension([T @ Ts, Ts @ T]) == 4
-
-
-def test_span_closure_non_unital_of_nilpotent():
-    # single nilpotent generator: non-unital span is 1-dimensional
-    nilp = [[0, 1], [0, 0]]
-    assert span_closure_dimension([nilp], unital=False) == 1
-    assert span_closure_dimension([nilp], unital=True) == 2
 
 
 def test_span_closure_rational_entries():
@@ -203,8 +197,9 @@ def _rank(rows):
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / rows[rank][col]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+            if rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 
@@ -222,6 +217,24 @@ def center_by_definition(gens):
             row += [x - y for r1, r2 in zip(BG, GB) for x, y in zip(r1, r2)]
         rows.append(row)
     return len(basis) - _rank(rows)
+
+
+def centralizer_by_definition(gens):
+    """d^2 minus the rank of the dense commutant system: for every generator G
+    and entry (i, j), the row of (X G - G X)[i][j] in the d^2 unknowns X[k][l]."""
+    dense_gens = [_dense(g.rows, g.size) if isinstance(g, ZeonMatrix)
+                  else [[Fraction(v) for v in row] for row in g] for g in gens]
+    d = len(dense_gens[0])
+    rows = []
+    for G in dense_gens:
+        for i in range(d):
+            for j in range(d):
+                row = [Fraction(0)] * (d * d)
+                for k in range(d):
+                    row[i * d + k] += G[k][j]  # X[i][k] G[k][j]
+                    row[k * d + j] -= G[i][k]  # G[i][k] X[k][j]
+                rows.append(row)
+    return d * d - _rank(rows)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -257,6 +270,20 @@ def test_wedderburn_path_agrees_with_elimination(M, symmetric):
         assert comps.dimension == stats.delta and comps.centralizer_dim == stats.zeta
 
 
+@settings(max_examples=40, deadline=None)
+@given(M=SMALL_MATRIX, with_transpose=st.booleans())
+def test_centralizer_matches_the_dense_definition(M, with_transpose):
+    gens = [M, [list(col) for col in zip(*M)]] if with_transpose else [M]
+    assert centralizer_dimension(gens) == centralizer_by_definition(gens)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_centralizers_match_the_dense_definition(family):
+    for n in (1, 2, 3):
+        gens = family_generators(family, n)
+        assert centralizer_dimension(gens) == centralizer_by_definition(gens), n
+
+
 @pytest.mark.parametrize("gens", [
     [NILPOTENT],  # not closed under transpose
     [ROTATION, [list(col) for col in zip(*ROTATION)]],  # closed, but the center is Q(i)
@@ -280,7 +307,7 @@ def test_nested_list_and_rational_generators_reach_the_elimination():
 
 @pytest.mark.parametrize("gens", [
     *(family_generators(family, n) for family in Family for n in (1, 2, 3)),
-    [op_T(3)],  # not closed under transpose: the commutant elimination runs
+    [op_T(3)],  # not closed under transpose: the unit-matrix fallback runs
 ], ids=[*(f"{family.value}-{n}" for family in Family for n in (1, 2, 3)), "T-alone"])
 def test_algebra_stats_leaves_zeon_generators_unchanged(gens):
     before = [copy.deepcopy(g.rows) for g in gens]

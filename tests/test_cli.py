@@ -1,6 +1,7 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 import json
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -330,7 +331,7 @@ def test_symm_vs_general_failure_prints_plain_values(capsys, shifted_general_swe
     argv = ["verify", "--suite", "sums", "--max-n", "1", "--r", "1"]
     code, out, _ = run(capsys, *argv)
     assert code == 1
-    assert "  mismatch ('symm-vs-general', 0, 0): (1, 1) != (2, 2)\n" in out
+    assert "  mismatch (symm-vs-general, 0, 0): (1, 1) != (2, 2)\n" in out
     assert "Fraction" not in out
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
@@ -338,6 +339,51 @@ def test_symm_vs_general_failure_prints_plain_values(capsys, shifted_general_swe
     assert suite["failures"][0] == {"params": ["symm-vs-general", "0", "0"],
                                     "left": "(1, 1)", "right": "(2, 2)"}
     assert "Fraction" not in out
+
+
+def test_mismatch_params_render_r_as_the_json_does(capsys, monkeypatch):
+    sweep = cli.sweep_sum_squares_general
+
+    def wrong(N, r, j, M=None, M1=None):
+        out = sweep(N, r, j, M, M1)
+        return out if r == 1 else [(lhs + 1, rhs) for lhs, rhs in out]
+
+    monkeypatch.setattr(cli, "sweep_sum_squares_general", wrong)
+    argv = ["verify", "--suite", "sums", "--max-n", "1", "--r", "3/7"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "  mismatch (thm-sqsum, 3/7, 0, 0): 2 != 1\n" in out
+    assert "Fraction" not in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    failure = json.loads(out)["suites"][0]["failures"][0]
+    assert failure["params"] == ["thm-sqsum", "3/7", "0", "0"]
+
+
+# ---------------------------------------------------------------------------
+# the size of r: numerator and denominator of at most MAX_R_DIGITS digits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [
+    "1000000000000", "-1/1000000000000", "1e1000", "1e-12", "1e99999999", "1e1_0000000",
+])
+def test_an_r_above_the_digit_budget_exits_2_at_once(capsys, r):
+    t0 = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--n", "40", f"--r={r}"])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2 and time.monotonic() - t0 < 5
+    assert "error:" in err and "exceeds the budget (12 digits" in err
+
+
+@pytest.mark.parametrize("r,expected", [
+    ("999999999999/999999999998", Fraction(999999999999, 999999999998)),
+    ("-1e11", Fraction(-10 ** 11)),
+    ("1e-11", Fraction(1, 10 ** 11)),
+    ("0.5e00001", Fraction(5)),
+])
+def test_an_r_inside_the_digit_budget_is_accepted(r, expected):
+    assert cli.MAX_R_DIGITS == 12
+    assert cli.parse_rational(r) == expected
 
 
 # ---------------------------------------------------------------------------

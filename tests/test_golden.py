@@ -44,6 +44,7 @@ CORPUS = {
        for family in ("U", "T", "TT") for n in range(1, 5) for fmt in ("text", "json")},
     "budget-matrix": ["matrix", "--n", "161"],
     "budget-verify": ["verify", "--suite", "pascal", "--max-n", "25"],
+    "budget-r": ["matrix", "--n", "40", "--r", "1e1000"],
     "budget-algebra": ["algebra", "--family", "U", "--n", "6"],
     "budget-algebra-large": ["algebra", "--family", "U", "--n", "7", "--allow-large"],
     "bad-zeon-token": ["zeon", "--n", "2", "--op", "foo"],
@@ -55,9 +56,17 @@ def _exit_codes() -> dict:
     return json.loads((GOLDEN / "exit_codes.json").read_text())
 
 
+def _run(argv: list[str]) -> int:
+    """main's exit code, also when argparse rejects an argument and exits."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_stdout_and_exit_code_match_the_golden_files(capsys, name):
-    code = main(list(CORPUS[name]))
+    code = _run(CORPUS[name])
     out = capsys.readouterr().out
     assert code == _exit_codes()[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
@@ -76,7 +85,7 @@ def _capture() -> None:
     for name, argv in sorted(CORPUS.items()):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            codes[name] = main(list(argv))
+            codes[name] = _run(argv)
         (GOLDEN / f"{name}.out").write_text(out.getvalue())
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 

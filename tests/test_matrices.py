@@ -25,6 +25,7 @@ from krawtchouk.matrices import (
     verify_recurrence_j,
     verify_sign_symmetries,
 )
+from krawtchouk.report import IdentityReport
 
 R_SAMPLES = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
              Fraction(3, 7), Fraction(-2), Fraction(5)]
@@ -92,12 +93,12 @@ def test_column_zero_is_binomials():
     for N in range(13):
         for r in R_SAMPLES:
             M = build_matrix(N, r)
-            assert list(M.column(0)) == [binomial(N, n) for n in range(N + 1)]
+            assert [row[0] for row in M.entries] == [binomial(N, n) for n in range(N + 1)]
 
 
 def test_symmetric_case_is_integral():
     for N in range(13):
-        assert build_matrix(N, 1).is_integral()
+        assert all(v.denominator == 1 for row in build_matrix(N, 1).entries for v in row)
 
 
 def test_entries_are_polynomials_in_r_of_degree_j():
@@ -177,7 +178,7 @@ def test_row1_col01_closed_forms():
 
 
 def test_second_column_of_phi4():
-    assert [int(v) for v in build_matrix(4, 1).column(1)] == [1, 2, 0, -2, -1]
+    assert [row[1] for row in build_matrix(4, 1).entries] == [1, 2, 0, -2, -1]
 
 
 def test_binomial_conjugation():
@@ -267,6 +268,23 @@ def test_symmetric_sweeps_return_only_ints():
             if j < N:
                 values += [v for row in sweep_column_sum_relation(N, j) for v in row]
         assert {type(v) for v in values} == {int}
+
+
+@pytest.mark.parametrize("r", [1, Fraction(1)], ids=["int", "fraction"])
+def test_symmetric_pascal_and_recurrence_record_only_ints(monkeypatch, r):
+    values = []
+    record = IdentityReport.record
+
+    def recording(rep, params, left, right):
+        values.extend([left, right])
+        record(rep, params, left, right)
+
+    monkeypatch.setattr(IdentityReport, "record", recording)
+    for N in range(1, 9):
+        assert verify_pascal(N, r).suite == f"pascal N={N} r=1"
+        assert verify_recurrence_j(N, r).suite == f"recurrence N={N} r=1"
+    assert values and {type(v) for v in values} == {int}
+    assert type(build_matrix(3, r).r) is int
 
 
 def test_repeat_call_returns_the_memoized_matrix():

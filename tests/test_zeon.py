@@ -1,5 +1,4 @@
 """Tests for the Boolean-lattice zeon operators."""
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,7 +137,7 @@ def test_coordinate_export():
 
 
 def test_json_export():
-    doc = json.loads(op_U(2).to_json("U"))
+    doc = op_U(2).to_json_dict("U")
     assert doc["schema"] == 1
     assert doc["n"] == 2 and doc["size"] == 4
     assert doc["entries"] == [[0, 0, 2], [3, 3, -2]]
