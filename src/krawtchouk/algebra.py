@@ -183,19 +183,6 @@ def _prepare(generators) -> tuple[int, list[dict]]:
     return d, [rows for _, rows in sizes_rows]
 
 
-def span_closure_basis(generators) -> tuple[int, list[dict]]:
-    """Basis of the generated algebra as row dicts; a ZeonMatrix input's rows are shared.
-
-    Starts from the identity and the generators, repeatedly
-    right-multiplies basis elements by generators, and keeps the products
-    that enlarge the span. Right multiplication suffices: the seed contains
-    the generators, so every word is reached, and the resulting span is
-    closed under products of arbitrary elements by linearity.
-    """
-    d, gens = _prepare(generators)
-    return d, _span_closure(d, gens, [_identity_rows(d)] + gens)
-
-
 def _span_closure(d: int, gens: list[dict], seed: list[dict],
                   cols: set[int] | None = None) -> list[dict]:
     """Basis of the span of seed * words in gens; ``cols`` as in _vectorize."""
@@ -219,8 +206,10 @@ def _span_closure(d: int, gens: list[dict], seed: list[dict],
 
 
 def span_closure_dimension(generators) -> int:
-    """Dimension of the unital algebra generated by the given matrices."""
-    return len(span_closure_basis(generators)[1])
+    """Dimension of the unital algebra generated by the given matrices: the span
+    of the identity and the generators, each times every word in the generators."""
+    d, gens = _prepare(generators)
+    return len(_span_closure(d, gens, [_identity_rows(d)] + gens))
 
 
 def centralizer_dimension(generators) -> int:

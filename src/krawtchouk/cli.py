@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -51,14 +50,14 @@ DEFAULT_R_LIST = [
 
 # Largest sizes the CLI accepts. The builder costs about N^3 operations, in
 # ints at r = 1 and in rationals otherwise. On a 2-core 3.11 host, matrix
-# --n 160 takes about 1.6 s at r = 1 and 21-25 s at r = 3/7, and verify
-# --suite all --max-n 24 about 6.5 s; twice the size at r != 1 is minutes.
+# --n 160 takes about 0.5 s at r = 1 and 11 s at r = 3/7, and verify
+# --suite all --max-n 24 about 4.3 s; twice the size at r != 1 is minutes.
 MAX_MATRIX_N = 160
 MAX_VERIFY_N = 24
-# Most decimal digits in the numerator and in the denominator of an r. At this
-# cap an entry of matrix --n 160 has at most about 1920 digits in each part,
-# under Python's 4300-digit str limit; r = 999999999999/999999999998 takes 56 s.
-MAX_R_DIGITS = 12
+# Most decimal digits in the numerator and in the denominator of an r; the
+# builder slows with them. matrix --n 160 takes 22-26 s at r = 999999/999998
+# (entries of at most 960 digits a part) and 25-27 s with 7 digits.
+MAX_R_DIGITS = 6
 
 SUITE_NAMES = [
     "pascal", "recurrence", "involution", "symmetries", "rows-cols",
@@ -127,8 +126,7 @@ def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
         Ms1 = build_matrix(N - 1, 1)
         for j in range(N + 1):
             symmetric = sweep_sum_squares_symmetric(N, j, Ms, Ms1)
-            at_1 = general.get((1, j)) or sweep_sum_squares_general(
-                N, Fraction(1), j, Ms, Ms1)
+            at_1 = general.get((1, j)) or sweep_sum_squares_general(N, 1, j, Ms, Ms1)
             for m, (lhs, rhs) in enumerate(symmetric):
                 rep.record(("symm-sqsum", j, m), lhs, rhs)
                 rep.record(("symm-vs-general", j, m), (lhs, rhs), at_1[m])
@@ -321,6 +319,8 @@ def cmd_verify(args) -> int:
         tasks.append((_t_injected_fault, ()))
     workers = pool_size(args.jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_task, tasks))
     else:
@@ -360,27 +360,22 @@ def cmd_verify(args) -> int:
     return exit_code
 
 
+# the zeon command's operator tokens; a token ending in ':' takes an index i
+ZEON_OPERATORS = {"T": op_T, "Tstar": op_Tstar, "U": op_U,
+                  "raise:": raise_op, "lower:": lower_op}
+
+
 def cmd_zeon(args) -> int:
-    n = args.n
-    token = args.op
-    if token == "T":
-        M, name = op_T(n), "T"
-    elif token == "Tstar":
-        M, name = op_Tstar(n), "Tstar"
-    elif token == "U":
-        M, name = op_U(n), "U"
-    elif token.startswith("raise:") or token.startswith("lower:"):
-        kind, _, idx = token.partition(":")
-        try:
-            i = int(idx)
-        except ValueError:
-            sys.stderr.write(f"error: operator index in {token!r} is not an integer\n")
-            return 2
-        M = raise_op(n, i) if kind == "raise" else lower_op(n, i)
-        name = token
-    else:
-        sys.stderr.write(f"error: unknown operator token {token!r}\n")
-        return 2
+    name = args.op
+    kind, colon, idx = name.partition(":")
+    build = ZEON_OPERATORS.get(kind + colon)
+    if build is None:
+        raise ValueError(f"unknown operator token {name!r}")
+    try:
+        index = (int(idx),) if colon else ()
+    except ValueError:
+        raise ValueError(f"operator index in {name!r} is not an integer") from None
+    M = build(args.n, *index)
     if args.format == "json":
         sys.stdout.write(json.dumps(M.to_json_dict(name), sort_keys=True) + "\n")
     else:

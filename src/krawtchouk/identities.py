@@ -47,16 +47,17 @@ def sweep_sum_squares_general(N: int, r, j: int,
 
     where phi is the level-N matrix and phi' the level-(N-1) matrix. One pass
     down the column carries both partial sums. Prebuilt matrices may be
-    passed to amortize sweeps.
+    passed to amortize sweeps. At r = 1 the sweep runs in ints.
     """
-    r = Fraction(r)
     if r == -1:
         raise ZeroDivisionError("the factor (1-r)/(1+r) is undefined at r = -1")
     if N < 1 or not 0 <= j <= N:
         raise ValueError(f"bad parameters N={N} j={j}")
+    M = M or build_matrix(N, r)
+    r = M.r  # the int 1 at r = 1, so the sweep stays in ints
     rows, prev, zero = _levels(N, r, M, M1)
     rj = r * j
-    factor = Fraction(1 - r, 1 + r) * j
+    factor = 0 if r == 1 else Fraction(1 - r, 1 + r) * j
     lhs = tail = zero
     out = []
     for n in range(N + 1):

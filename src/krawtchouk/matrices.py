@@ -1,8 +1,9 @@
 """Krawtchouk matrices over exact rationals, built from the generating function.
 
 Column j of the (N+1) x (N+1) matrix holds the coefficient sequence of
-(1+z)^(N-j) (1-rz)^j, expanded by exact polynomial convolution. Rows are
-indexed by degree n, columns by evaluation point j.
+(1+z)^(N-j) (1-rz)^j, expanded one linear factor at a time: N-j steps of
+"times (1+z)" and j steps of "times (1-rz)". Rows are indexed by degree n,
+columns by evaluation point j.
 
 The symmetric case r = 1 is expanded and checked in Python ints: its matrix
 stores r as the int 1 and every entry as an ``int``. For every other r,
@@ -20,15 +21,6 @@ from functools import lru_cache
 
 from .combinatorics import binomial
 from .report import IdentityReport
-
-def _convolve(a: list, b: list) -> list:
-    """Product of two coefficient lists, in the type of their coefficients."""
-    out = [type(a[0])()] * (len(a) + len(b) - 1)  # int() is 0, Fraction() is 0
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 @dataclass(frozen=True)
@@ -69,24 +61,23 @@ def build_matrix(N: int, r) -> KrawtchoukMatrix:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _expand(N: int, r: Fraction) -> KrawtchoukMatrix:
-    """Expand (1+z)^(N-j) (1-rz)^j for each column j, by exact convolution.
+    """Expand (1+z)^(N-j) (1-rz)^j for each column j, one linear factor at a time.
 
-    At r = 1 the coefficients are ints, so the expansion runs in integer
-    arithmetic; every other r expands in Fractions. Each column takes N
-    convolutions with a linear factor, so it has exactly N + 1 coefficients.
+    Multiplying coefficients p by (1 + step z) gives p[n] + step p[n-1]. At
+    r = 1 the coefficients are ints, so the expansion runs in integer
+    arithmetic; every other r expands in Fractions. The padding 0 is an int,
+    so it keeps either type. After N steps a column has N + 1 coefficients.
     """
     one, step = (1, -1) if r == 1 else (Fraction(1), -r)
-    plus, minus = [one, one], [one, step]
     columns = []
     for j in range(N + 1):
         poly = [one]
         for _ in range(N - j):
-            poly = _convolve(poly, plus)
+            poly = [a + b for a, b in zip(poly + [0], [0] + poly)]
         for _ in range(j):
-            poly = _convolve(poly, minus)
+            poly = [a + step * b for a, b in zip(poly + [0], [0] + poly)]
         columns.append(poly)
-    entries = tuple(tuple(columns[j][n] for j in range(N + 1)) for n in range(N + 1))
-    return KrawtchoukMatrix(N=N, r=1 if r == 1 else r, entries=entries)
+    return KrawtchoukMatrix(N=N, r=1 if r == 1 else r, entries=tuple(zip(*columns)))
 
 
 # Drops every memoized matrix. Clear through the inner function: wrappers that

@@ -130,9 +130,6 @@ class ZeonMatrix:
             return NotImplemented
         return self.n == other.n and self.rows == other.rows
 
-    def __hash__(self):
-        return hash((self.n, tuple(self.items())))
-
     def __add__(self, other: "ZeonMatrix") -> "ZeonMatrix":
         return self._new(combine([(1, self.rows), (1, self._rows_of(other))]))
 

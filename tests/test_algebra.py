@@ -19,7 +19,6 @@ from krawtchouk.algebra import (
     delta_via_row_squares,
     family_generators,
     predicted_stats,
-    span_closure_basis,
     span_closure_dimension,
     zeta_via_theorem,
 )
@@ -52,8 +51,7 @@ def test_span_closure_size_mismatch():
 
 
 def test_span_closure_bounded_by_d_squared():
-    d, basis = span_closure_basis([op_T(3), op_Tstar(3)])
-    assert d == 8 and len(basis) <= d * d
+    assert span_closure_dimension([op_T(3), op_Tstar(3)]) <= 8 * 8
 
 
 def test_centralizer_examples():
@@ -188,7 +186,14 @@ def _matmul(A, B):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
-def _rank(rows):
+def _as_dense(g):
+    if isinstance(g, ZeonMatrix):
+        return _dense(g.rows, g.size)
+    return [[Fraction(v) for v in row] for row in g]
+
+
+def _echelon(rows):
+    """The nonzero rows of a row echelon form of rows, by Fraction elimination."""
     rows = [list(r) for r in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -201,16 +206,47 @@ def _rank(rows):
                 f = rows[i][col] / rows[rank][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rows[:rank]
 
 
-def center_by_definition(gens):
-    """delta minus the rank of b -> ([b, g] for every generator g), densely."""
-    d, basis = span_closure_basis(gens)
-    dense_gens = [[[Fraction(v) for v in row] for row in g] for g in gens]
+def _rank(rows):
+    return len(_echelon(rows))
+
+
+def closure_by_definition(gens):
+    """A basis of the unital algebra of gens, as dense matrices: starting from
+    the identity and the generators, keep every product B G (G a generator)
+    that raises the rank of the basis, until no product does or the basis
+    spans all d x d matrices."""
+    dense_gens = [_as_dense(g) for g in gens]
+    d = len(dense_gens[0])
+    basis, echelon = [], []
+
+    def keep(B):
+        nonlocal echelon
+        if len(basis) == d * d:
+            return False
+        wider = _echelon(echelon + [[x for row in B for x in row]])
+        grows = len(wider) > len(echelon)
+        if grows:
+            basis.append(B)
+            echelon = wider
+        return grows
+
+    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    frontier = [B for B in [identity] + dense_gens if keep(B)]
+    while frontier:
+        frontier = [P for B in frontier for G in dense_gens if keep(P := _matmul(B, G))]
+    return basis
+
+
+def center_by_definition(gens, basis=None):
+    """delta minus the rank of b -> ([b, g] for every generator g), densely,
+    over the basis of closure_by_definition unless one is given."""
+    basis = basis or closure_by_definition(gens)
+    dense_gens = [_as_dense(g) for g in gens]
     rows = []
-    for b in basis:
-        B = _dense(b, d)
+    for B in basis:
         row = []
         for G in dense_gens:
             BG, GB = _matmul(B, G), _matmul(G, B)
@@ -222,8 +258,7 @@ def center_by_definition(gens):
 def centralizer_by_definition(gens):
     """d^2 minus the rank of the dense commutant system: for every generator G
     and entry (i, j), the row of (X G - G X)[i][j] in the d^2 unknowns X[k][l]."""
-    dense_gens = [_dense(g.rows, g.size) if isinstance(g, ZeonMatrix)
-                  else [[Fraction(v) for v in row] for row in g] for g in gens]
+    dense_gens = [_as_dense(g) for g in gens]
     d = len(dense_gens[0])
     rows = []
     for G in dense_gens:
@@ -262,9 +297,10 @@ def test_wedderburn_path_agrees_with_elimination(M, symmetric):
     else:
         gens = [M, Mt]
     stats, comps = algebra_stats(gens)
-    assert stats.delta == span_closure_dimension(gens)
+    basis = closure_by_definition(gens)
+    assert stats.delta == span_closure_dimension(gens) == len(basis)
     assert stats.zeta == centralizer_dimension(gens)
-    assert stats.z == center_dimension(gens) == center_by_definition(gens)
+    assert stats.z == center_dimension(gens) == center_by_definition(gens, basis)
     if comps is not None:
         assert comps.count == stats.z and comps.degree_sum == stats.d
         assert comps.dimension == stats.delta and comps.centralizer_dim == stats.zeta

@@ -45,6 +45,7 @@ CORPUS = {
     "budget-matrix": ["matrix", "--n", "161"],
     "budget-verify": ["verify", "--suite", "pascal", "--max-n", "25"],
     "budget-r": ["matrix", "--n", "40", "--r", "1e1000"],
+    "budget-r-digits": ["matrix", "--n", "6", "--r", "1000000/999999"],
     "budget-algebra": ["algebra", "--family", "U", "--n", "6"],
     "budget-algebra-large": ["algebra", "--family", "U", "--n", "7", "--allow-large"],
     "bad-zeon-token": ["zeon", "--n", "2", "--op", "foo"],

@@ -13,6 +13,7 @@ from krawtchouk.combinatorics import binomial
 from krawtchouk.identities import (
     sweep_column_sum_relation,
     sweep_partial_sum_plain,
+    sweep_sum_squares_general,
     sweep_sum_squares_symmetric,
 )
 from krawtchouk.matrices import (
@@ -214,6 +215,24 @@ def binomial_sum_oracle(N, r):
     )
 
 
+def convolution_oracle(N, r):
+    """Column j is (1+z)^(N-j) (1-rz)^j, expanded by generic polynomial convolution."""
+    def convolve(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+        return out
+
+    columns = []
+    for j in range(N + 1):
+        poly = [Fraction(1)]
+        for factor in [[1, 1]] * (N - j) + [[1, -r]] * j:
+            poly = convolve(poly, factor)
+        columns.append(poly)
+    return tuple(tuple(column[n] for column in columns) for n in range(N + 1))
+
+
 EXACT_R = st.one_of(
     st.fractions(min_value=-20, max_value=20, max_denominator=30),
     st.sampled_from([Fraction(1), Fraction(-1), Fraction(-999, 1000), Fraction(-1001, 1000),
@@ -228,6 +247,7 @@ def test_build_matches_binomial_sum_oracle(N, r):
     M = build_matrix(N, r)
     assert M.N == N and M.r == r
     assert M.entries == binomial_sum_oracle(N, r)
+    assert M.entries == convolution_oracle(N, r)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +287,8 @@ def test_symmetric_sweeps_return_only_ints():
                 values += [v for row in sweep_partial_sum_plain(N, j) for v in row]
             if j < N:
                 values += [v for row in sweep_column_sum_relation(N, j) for v in row]
+            for r in (1, Fraction(1)):
+                values += [v for row in sweep_sum_squares_general(N, r, j) for v in row]
         assert {type(v) for v in values} == {int}
 
 
