@@ -48,10 +48,10 @@ DEFAULT_R_LIST = [
     Fraction(3, 7), Fraction(-2), Fraction(5),
 ]
 
-# Largest sizes the CLI accepts. The builder costs about N^3 operations, in
-# ints at r = 1 and in rationals otherwise. On a 2-core 3.11 host, matrix
-# --n 160 takes about 0.5 s at r = 1 and 11 s at r = 3/7, and verify
-# --suite all --max-n 24 about 4.3 s; twice the size at r != 1 is minutes.
+# Largest sizes the CLI accepts. The builder costs about N^3 operations (ints
+# at r = 1, rationals otherwise); twice the size at r != 1 takes minutes. On
+# a 2-core 3.11 host, matrix --n 160 takes 0.5 s at r = 1 and 11 s at r = 3/7;
+# verify --suite all --max-n 24 0.8 s at --r 3/7 --r 1, 2.2 s at the default r.
 MAX_MATRIX_N = 160
 MAX_VERIFY_N = 24
 # Most decimal digits in the numerator and in the denominator of an r; the

@@ -1,7 +1,8 @@
 """Summation theorems and special-value closed forms for Krawtchouk matrices.
 
-All checks compare exact rationals; there are no tolerances. The symmetric
-(r = 1) checks run in ints, on the integer matrices the builder gives there.
+All checks are exact; there are no tolerances. The sweeps run in ints, on
+the column-scaled matrices (``KrawtchoukMatrix.scaled``, the entries at r = 1);
+the general-r sweep divides out its power of q where it forms a prefix's pair.
 Where a term carries an explicitly zero coefficient (factor j = 0 or N-j = 0),
 the term is dropped before its matrix index is resolved. A degree index above
 the matrix size reads as 0: it asks for a coefficient beyond the polynomial's
@@ -24,13 +25,13 @@ def _prefix(sweep: list, N: int, j: int, m: int):
 
 
 def _levels(N: int, r, M: KrawtchoukMatrix | None, M1: KrawtchoukMatrix | None):
-    """Rows of the level-N matrix, rows of the level-(N-1) matrix zero-extended
-    by one row (its degree-N coefficients are 0), and the entries' zero."""
+    """The level-N matrix, its scaled rows, and the scaled rows of the level-(N-1)
+    matrix zero-extended by one row (its degree-N coefficients are 0)."""
     if M is None:
         M = build_matrix(N, r)
     if M1 is None:
         M1 = build_matrix(N - 1, r)
-    return M.entries, M1.entries + ((M1.zero,) * N,), M.zero
+    return M, M.scaled, M1.scaled + ((0,) * N,)
 
 
 def sweep_sum_squares_general(N: int, r, j: int,
@@ -46,33 +47,33 @@ def sweep_sum_squares_general(N: int, r, j: int,
               + (1-r)/(1+r) * j * sum_{n=0}^m (r phi[n][j-1]^2 + phi[n][j]^2)
 
     where phi is the level-N matrix and phi' the level-(N-1) matrix. One pass
-    down the column carries both partial sums. Prebuilt matrices may be
-    passed to amortize sweeps. At r = 1 the sweep runs in ints.
+    down the scaled columns carries both partial sums in ints times q^(2j),
+    r = p/q; each pair is divided back, with the tail factor (q-p)/(q+p), in
+    Fractions (ints at r = 1). Prebuilt matrices may be passed to amortize sweeps.
     """
     if r == -1:
         raise ZeroDivisionError("the factor (1-r)/(1+r) is undefined at r = -1")
     if N < 1 or not 0 <= j <= N:
         raise ValueError(f"bad parameters N={N} j={j}")
-    M = M or build_matrix(N, r)
-    r = M.r  # the int 1 at r = 1, so the sweep stays in ints
-    rows, prev, zero = _levels(N, r, M, M1)
-    rj = r * j
-    factor = 0 if r == 1 else Fraction(1 - r, 1 + r) * j
-    lhs = tail = zero
+    M, rows, prev = _levels(N, r, M, M1)
+    p, q = M.r.numerator, M.r.denominator
+    pq, scale, ints = p * q, q ** (2 * j), type(M.r) is int  # r = 1: scale 1, no tail
+    lhs = tail = 0
     out = []
     for n in range(N + 1):
         x = rows[n][j]
         sq = x * x
         lhs += (N - 2 * n) * sq
-        rhs = zero
+        rhs = 0
         if N - j != 0:
             y = prev[n][j]
             rhs += (N - j) * (y * y)
         if j != 0:
             w, y = rows[n][j - 1], prev[n][j - 1]
-            tail += r * (w * w) + sq
-            rhs += rj * (y * y) + factor * tail
-        out.append((lhs, rhs))
+            tail += pq * (w * w) + sq
+            rhs += pq * j * (y * y)
+        out.append((lhs, rhs) if ints else (
+            Fraction(lhs, scale), Fraction((q + p) * rhs + (q - p) * j * tail, (q + p) * scale)))
     return out
 
 
@@ -86,13 +87,13 @@ def sweep_sum_squares_symmetric(N: int, j: int,
     """
     if N < 1 or not 0 <= j <= N:
         raise ValueError(f"bad parameters N={N} j={j}")
-    rows, prev, zero = _levels(N, 1, M, M1)
-    lhs = zero
+    _, rows, prev = _levels(N, 1, M, M1)
+    lhs = 0
     out = []
     for n in range(N + 1):
         x = rows[n][j]
         lhs += (N - 2 * n) * (x * x)
-        rhs = zero
+        rhs = 0
         if N - j != 0:
             y = prev[n][j]
             rhs += (N - j) * (y * y)
@@ -117,8 +118,8 @@ def sweep_partial_sum_plain(N: int, j: int,
         raise ValueError(f"partial sums require j >= 2, got j={j}")
     if N < 1 or j > N:
         raise ValueError(f"bad parameters N={N} j={j}")
-    rows, prev, zero = _levels(N, 1, M, M1)
-    lhs = zero
+    _, rows, prev = _levels(N, 1, M, M1)
+    lhs = 0
     out = []
     for n in range(N + 1):
         lhs += (N - 2 * n) * rows[n][j]
@@ -137,8 +138,8 @@ def sweep_column_sum_relation(N: int, j: int,
     """(phi'[m][j], sum_{n=0}^m phi[n][j+1]) for every prefix m = 0..N-1, r = 1."""
     if N < 1 or not 0 <= j <= N - 1:
         raise ValueError(f"bad parameters N={N} j={j}")
-    rows, prev, zero = _levels(N, 1, M, M1)
-    rhs = zero
+    _, rows, prev = _levels(N, 1, M, M1)
+    rhs = 0
     out = []
     for n in range(N):
         rhs += rows[n][j + 1]

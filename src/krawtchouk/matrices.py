@@ -5,9 +5,11 @@ Column j of the (N+1) x (N+1) matrix holds the coefficient sequence of
 "times (1+z)" and j steps of "times (1-rz)". Rows are indexed by degree n,
 columns by evaluation point j.
 
-The symmetric case r = 1 is expanded and checked in Python ints: its matrix
-stores r as the int 1 and every entry as an ``int``. For every other r,
-integral ones included, r and every entry are ``Fraction``s.
+The symmetric case r = 1 is expanded in Python ints: its matrix stores r as
+the int 1 and every entry as an ``int``. For every other r, integral ones
+included, r and every entry are ``Fraction``s. The checks run in ints for
+every r, on ``KrawtchoukMatrix.scaled`` (column j times q^j, r = p/q) with
+each identity multiplied by a power of q; a failure is recorded divided back.
 
 Built matrices are memoized on (N, r): the identities relate neighbouring
 levels, so a verification sweep asks for the same level many times. The CLI
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .combinatorics import binomial
 from .report import IdentityReport
@@ -29,20 +31,23 @@ class KrawtchoukMatrix:
     r: int | Fraction  # the int 1 at r = 1
     entries: tuple[tuple[int | Fraction, ...], ...]  # [n][j], degree x evaluation
 
-    @property
-    def zero(self) -> int | Fraction:
-        """The zero of the entries' type: the int 0 at r = 1, else Fraction(0)."""
-        return type(self.entries[0][0])()
-
     def entry(self, n: int, j: int) -> int | Fraction:
-        """Entry [n][j]; n = -1 returns the boundary value 0."""
+        """Entry [n][j]; n = -1 returns the boundary value 0, in the entries' type."""
         if not 0 <= j <= self.N:
             raise IndexError(f"column index j={j} outside [0, {self.N}]")
         if n == -1:
-            return self.zero
+            return type(self.entries[0][0])()
         if not 0 <= n <= self.N:
             raise IndexError(f"row index n={n} outside [-1, {self.N}]")
         return self.entries[n][j]
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], ...]:
+        """Column j times q^j, r = p/q in lowest terms: all ints, as the denominator
+        of entry [n][j] divides q^min(n, j). At q = 1 these are the entries."""
+        powers = [self.r.denominator ** j for j in range(self.N + 1)]
+        return tuple(tuple(v.numerator * (s // v.denominator) for v, s in zip(row, powers))
+                     for row in self.entries)
 
 
 # Bound on the memo. It holds one sweep's working set: verify --suite all
@@ -91,21 +96,25 @@ def binomial_diagonal(N: int) -> tuple[int, ...]:
 
 
 def verify_pascal(N: int, r) -> IdentityReport:
-    """Check both Pascal-type relations linking level N to level N+1."""
+    """Check both Pascal-type relations linking level N to level N+1, on the scaled
+    matrices: A[n][j] + A[n-1][j] = A'[n][j], q A[n][j] - p A[n-1][j] = A'[n][j+1]."""
     M = build_matrix(N, r)
-    M1 = build_matrix(N + 1, r)
-    r = M.r  # the int 1 at r = 1, so the checks stay in ints
-    rep = IdentityReport(suite=f"pascal N={N} r={r}")
-    for n in range(N + 1):
+    A1 = build_matrix(N + 1, r).scaled
+    p, q = M.r.numerator, M.r.denominator
+    powers = [q ** j for j in range(N + 2)]
+    rep = IdentityReport(suite=f"pascal N={N} r={M.r}")
+    prev = (0,) * (N + 1)
+    for n, row in enumerate(M.scaled):
         for j in range(N + 1):
-            prev = M.entry(n - 1, j)
-            rep.record(("i", n, j), M.entry(n, j) + prev, M1.entry(n, j))
-            rep.record(("ii", n, j), M.entry(n, j) - r * prev, M1.entry(n, j + 1))
+            rep.record_scaled(("i", n, j), row[j] + prev[j], A1[n][j], powers[j])
+            rep.record_scaled(("ii", n, j), q * row[j] - p * prev[j], A1[n][j + 1], powers[j + 1])
+        prev = row
     return rep
 
 
 def verify_recurrence_j(N: int, r) -> IdentityReport:
-    """Check the three-term recurrence in the evaluation index j.
+    """Check the three-term recurrence in the evaluation index j on the scaled matrix:
+    (qN - n(q+p) + (p-q) j) A[n][j] = (N-j) A[n][j+1] + pq j A[n][j-1].
 
     Terms carrying a zero coefficient (N-j = 0 or j = 0) are dropped before
     the neighbouring index is resolved, so j+1 = N+1 and j-1 = -1 never occur.
@@ -113,20 +122,19 @@ def verify_recurrence_j(N: int, r) -> IdentityReport:
     if N < 1:
         raise ValueError(f"recurrence check requires N >= 1, got {N}")
     M = build_matrix(N, r)
-    r = M.r  # the int 1 at r = 1, so the checks stay in ints
-    rep = IdentityReport(suite=f"recurrence N={N} r={r}")
-    r_minus_1, r_plus_1 = r - 1, 1 + r
-    for n in range(N + 1):
-        row = M.entries[n]
-        base = N - n * r_plus_1
+    p, q = M.r.numerator, M.r.denominator
+    powers = [q ** j for j in range(N + 2)]
+    rep = IdentityReport(suite=f"recurrence N={N} r={M.r}")
+    for n, row in enumerate(M.scaled):
+        base = q * N - n * (q + p)
         for j in range(N + 1):
-            lhs = (base + r_minus_1 * j) * row[j]
-            rhs = M.zero
+            lhs = (base + (p - q) * j) * row[j]
+            rhs = 0
             if N - j != 0:
                 rhs += (N - j) * row[j + 1]
             if j != 0:
-                rhs += r * j * row[j - 1]
-            rep.record((n, j), lhs, rhs)
+                rhs += p * q * j * row[j - 1]
+            rep.record_scaled((n, j), lhs, rhs, powers[j + 1])
     return rep
 
 

@@ -65,6 +65,12 @@ class IdentityReport:
             if len(self.failures) < self.max_stored:
                 self.failures.append(Failure(params, left, right))
 
+    def record_scaled(self, params: tuple, left: int, right: int, scale: int) -> None:
+        """record() for sides multiplied by scale; a failure keeps them divided back."""
+        if left != right:
+            left, right = Fraction(left, scale), Fraction(right, scale)
+        self.record(params, left, right)
+
     def record_bool(self, params: tuple, ok: bool) -> None:
         self.record(params, bool(ok), True)
 

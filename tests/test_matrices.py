@@ -1,5 +1,6 @@
 """Tests for Krawtchouk matrix construction and structural identities."""
 import functools
+import json
 import sys
 from fractions import Fraction
 from math import comb
@@ -340,3 +341,140 @@ def test_command_clears_the_memo_when_build_matrix_is_wrapped(capsys, monkeypatc
     assert main(["verify", "--suite", "sums", "--max-n", "4"]) == 0
     assert len(calls) > len(set(calls))  # the suite asks for levels again
     assert matrices._expand.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the column-scaled integer view: column j times q^j, r = p/q
+# ---------------------------------------------------------------------------
+
+SCALED_R = st.one_of(EXACT_R, st.integers(min_value=-9, max_value=9).map(Fraction))
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(min_value=0, max_value=20), r=SCALED_R)
+@example(N=20, r=Fraction(1))
+@example(N=12, r=Fraction(0))
+def test_scaled_entries_are_ints_equal_to_q_power_times_the_oracle(N, r):
+    expected = binomial_sum_oracle(N, r)
+    scaled = build_matrix(N, r).scaled
+    assert {type(v) for row in scaled for v in row} == {int}
+    assert scaled == tuple(tuple(r.denominator ** j * v for j, v in enumerate(row))
+                           for row in expected)
+
+
+def with_scaled(M, n, j, delta):
+    """A copy of M whose scaled entry [n][j] is shifted by delta (the memo keeps M)."""
+    copy = matrices.KrawtchoukMatrix(N=M.N, r=M.r, entries=M.entries)
+    rows = [list(row) for row in M.scaled]
+    rows[n][j] += delta
+    copy.__dict__["scaled"] = tuple(map(tuple, rows))
+    return copy
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), N=st.integers(min_value=0, max_value=12), r=SCALED_R,
+       delta=st.integers(min_value=-5, max_value=5).filter(bool))
+def test_a_corrupted_scaled_entry_is_reported(data, N, r, delta):
+    n = data.draw(st.integers(min_value=0, max_value=N), label="n")
+    j = data.draw(st.integers(min_value=0, max_value=N), label="j")
+    original = matrices.build_matrix
+    corrupted = with_scaled(original(N, r), n, j, delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "build_matrix",
+                   lambda N_, r_: corrupted if (N_, r_) == (N, r) else original(N_, r_))
+        pascal = verify_pascal(N, r)
+        recurrence = verify_recurrence_j(N, r) if N >= 1 else None
+    # entry [n][j] enters Pascal (i) at (n, j) and (n+1, j) with coefficient 1, and
+    # Pascal (ii) at (n, j) with coefficient q and at (n+1, j) with coefficient -p
+    expected = {("i", n, j), ("ii", n, j)}
+    if n < N:
+        expected |= {("i", n + 1, j)} | ({("ii", n + 1, j)} if r != 0 else set())
+    assert {f.params for f in pascal.failures} == expected
+    if recurrence is not None:
+        # it enters the recurrence at (n, j-1), (n, j) and (n, j+1); every one of
+        # those coefficients is 0 only for entry [N][0] at r = 0
+        assert {f.params for f in recurrence.failures} <= {(n, j - 1), (n, j), (n, j + 1)}
+        assert recurrence.ok == (r == 0 and (n, j) == (N, 0))
+
+
+# ---------------------------------------------------------------------------
+# failure reports stay in the matrix's own units
+# ---------------------------------------------------------------------------
+
+R37 = Fraction(3, 7)
+
+
+@pytest.fixture
+def corrupted_level_3(monkeypatch):
+    """Level 3 at r = 3/7 with entry [1][2] raised from 1/7 to 8/7."""
+    original = matrices.build_matrix
+    M = original(3, R37)
+    assert M.entries[1][2] == Fraction(1, 7)
+    entries = [list(row) for row in M.entries]
+    entries[1][2] += 1
+    corrupted = matrices.KrawtchoukMatrix(N=3, r=M.r, entries=tuple(map(tuple, entries)))
+    monkeypatch.setattr(matrices, "build_matrix",
+                        lambda N, r: corrupted if (N, r) == (3, R37) else original(N, r))
+
+
+# Worked by hand from the columns (1+z)^(3-j) (1-3z/7)^j at level 3 and
+# (1+z)^(4-j) (1-3z/7)^j at level 4, with K[1][2] = 8/7 in place of 1/7.
+PASCAL_3_FAILURES = [
+    # (i) K[n][j] + K[n-1][j] = K'[n][j]
+    (("i", 1, 2), Fraction(8, 7) + 1, Fraction(8, 7)),
+    # (ii) K[n][j] - r K[n-1][j] = K'[n][j+1]
+    (("ii", 1, 2), Fraction(8, 7) - R37 * 1, Fraction(-2, 7)),
+    (("i", 2, 2), Fraction(-33, 49) + Fraction(8, 7), Fraction(-26, 49)),
+    (("ii", 2, 2), Fraction(-33, 49) - R37 * Fraction(8, 7), Fraction(-36, 49)),
+]
+# (3 - n(1+r) + (r-1) j) K[n][j] = (3-j) K[n][j+1] + r j K[n][j-1] at n = 1
+RECURRENCE_3_FAILURES = [
+    ((1, 1), Fraction(1) * Fraction(11, 7), 2 * Fraction(8, 7) + R37 * 1 * 3),
+    ((1, 2), Fraction(3, 7) * Fraction(8, 7), Fraction(-9, 7) + R37 * 2 * Fraction(11, 7)),
+    ((1, 3), Fraction(-1, 7) * Fraction(-9, 7), R37 * 3 * Fraction(8, 7)),
+]
+
+
+def failure_triples(rep):
+    return [(f.params, f.left, f.right) for f in rep.failures]
+
+
+def test_corrupted_entry_failures_read_as_rationals(corrupted_level_3):
+    pascal = verify_pascal(3, R37)
+    assert pascal.failure_count == 4 and failure_triples(pascal) == PASCAL_3_FAILURES
+    assert [f.left for f in pascal.failures] == [
+        Fraction(15, 7), Fraction(5, 7), Fraction(23, 49), Fraction(-57, 49)]
+    recurrence = verify_recurrence_j(3, R37)
+    assert recurrence.failure_count == 3
+    assert failure_triples(recurrence) == RECURRENCE_3_FAILURES
+    assert [(f.left, f.right) for f in recurrence.failures] == [
+        (Fraction(11, 7), Fraction(25, 7)), (Fraction(24, 49), Fraction(3, 49)),
+        (Fraction(9, 49), Fraction(72, 49))]
+    assert all(type(v) is Fraction for f in pascal.failures + recurrence.failures
+               for v in (f.left, f.right))
+
+
+def test_corrupted_entry_failures_print_as_rationals(corrupted_level_3, capsys):
+    argv = ["verify", "--suite", "pascal", "--suite", "recurrence", "--max-n", "3",
+            "--r", "3/7"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert ("pascal N=3 r=3/7: 32 cases, FAIL (4)\n"
+            "  mismatch (i, 1, 2): 15/7 != 8/7\n"
+            "  mismatch (ii, 1, 2): 5/7 != -2/7\n"
+            "  mismatch (i, 2, 2): 23/49 != -26/49\n"
+            "  mismatch (ii, 2, 2): -57/49 != -36/49\n") in out
+    # at level 2 the corrupted entry is on the right: K2[1][2] + K2[0][2] = 1/7
+    assert ("pascal N=2 r=3/7: 18 cases, FAIL (2)\n"
+            "  mismatch (ii, 1, 1): 1/7 != 8/7\n"
+            "  mismatch (i, 1, 2): 1/7 != 8/7\n") in out
+    assert ("recurrence N=3 r=3/7: 16 cases, FAIL (3)\n"
+            "  mismatch (1, 1): 11/7 != 25/7\n"
+            "  mismatch (1, 2): 24/49 != 3/49\n"
+            "  mismatch (1, 3): 9/49 != 72/49\n") in out
+    assert main(argv + ["--format", "json"]) == 1
+    suites = {s["suite"]: s["failures"] for s in json.loads(capsys.readouterr().out)["suites"]}
+    assert suites["pascal N=3 r=3/7"][1] == {"params": ["ii", "1", "2"],
+                                             "left": "5/7", "right": "-2/7"}
+    assert suites["recurrence N=3 r=3/7"][2] == {"params": ["1", "3"],
+                                                 "left": "9/49", "right": "72/49"}
