@@ -1,14 +1,18 @@
 """Structure statistics of matrix algebras by exact linear algebra.
 
 For a set of integer (or rational) generator matrices this module computes
-the degree d, the dimension delta of the generated unital algebra, the
+the degree d, the dimension delta of the generated unital algebra A, the
 dimension zeta of its centralizer, and the dimension z of its center, all
-exactly over the rationals (fraction-free, on integers). When the generator
-set is closed under transpose, zeta and the simple components come from the
-Wedderburn blocks of one central element; otherwise, or when a certificate
-of that path fails, zeta comes from the same routine as the center: the
-combinations of the d^2 unit matrices that commute with every generator.
-The three operator families over the Boolean lattice are wired up
+exactly over the rationals (fraction-free, on integers). If the generators
+commute, A is commutative and its center is all of A (z = delta) with no
+elimination; otherwise the center is the combinations of A's basis that
+commute with every generator. When the generator set is closed under
+transpose, zeta and the simple components come from the Wedderburn blocks
+of one central element c: its minimal polynomial from the Krylov sequence
+v, cv, ..., c^z v of d-vectors, and, when z = delta, its multiplicities from
+the traces of its powers. Otherwise, or when a certificate of that path
+fails, zeta comes from the same routine as the center, over the d^2 unit
+matrices. The three operator families over the Boolean lattice are wired up
 here together with their closed-form predictions.
 """
 from __future__ import annotations
@@ -97,32 +101,17 @@ def _identity_rows(d: int) -> dict:
     return {i: {i: 1} for i in range(d)}
 
 
-def _commutator(A: dict, B: dict) -> dict:
-    return combine([(1, mat_mul(A, B)), (-1, mat_mul(B, A))])
-
-
 def _vectorize(d: int, rows: dict, cols: set[int] | None = None) -> dict[int, int]:
     """Row-major vectorization, keeping only the columns in ``cols`` when given."""
     return {i * d + j: v for i, row in rows.items() for j, v in row.items()
             if cols is None or j in cols}
 
 
-def _normalize(vec: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in vec.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        vec = {c: v // g for c, v in vec.items()}
-    lead = min(vec)
-    if vec[lead] < 0:
-        vec = {c: -v for c, v in vec.items()}
-    return vec
-
-
 class ExactEchelon:
-    """Incremental integer row-echelon basis for exact rank computation."""
+    """Incremental integer row-echelon basis for exact rank computation.
+
+    Each stored pivot is primitive (content 1) with a positive lead entry.
+    """
 
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
@@ -135,22 +124,25 @@ class ExactEchelon:
         """Reduce vec against the pivots; True iff it enlarges the span."""
         vec = {c: v for c, v in vec.items() if v != 0}
         while vec:
+            g = math.gcd(*vec.values())
+            if g > 1:
+                vec = {c: v // g for c, v in vec.items()}
             lead = min(vec)
             piv = self.pivots.get(lead)
             if piv is None:
-                self.pivots[lead] = _normalize(vec)
+                self.pivots[lead] = vec if vec[lead] > 0 else {c: -v for c, v in vec.items()}
                 return True
             a, b = piv[lead], vec[lead]
             g = math.gcd(a, b)
             ca, cb = a // g, b // g
-            new = {c: ca * v for c, v in vec.items()}
+            new = dict(vec) if ca == 1 else {c: ca * v for c, v in vec.items()}
             for c, v in piv.items():
                 w = new.get(c, 0) - cb * v
                 if w == 0:
                     new.pop(c, None)
                 else:
                     new[c] = w
-            vec = _normalize(new) if new else new
+            vec = new
         return False
 
 
@@ -235,7 +227,7 @@ def _commuting(d: int, gens: list[dict], elements) -> list[dict[int, int]]:
     def commutators(b):
         vec: dict[int, int] = {}
         for idx, g in enumerate(gens):
-            for c, v in _vectorize(d, _commutator(b, g)).items():
+            for c, v in _vectorize(d, combine([(1, mat_mul(b, g)), (-1, mat_mul(g, b))])).items():
                 vec[idx * d * d + c] = v
         return vec
 
@@ -289,6 +281,38 @@ def _integer_roots(poly: list[int], bound: int) -> list[int] | None:
     return roots
 
 
+def _start_vector(d: int) -> dict:
+    """The Krylov start v as a d x 1 matrix: integer entries with no linear
+    pattern, so that v is rarely orthogonal to one of c's eigenspaces."""
+    return {i: {0: w} for i in range(d) if (w := pow(i + 2, 7, 1009) - 504)}
+
+
+def _krylov(start: dict, c: dict, count: int) -> list[dict]:
+    """start, c start, ..., c^(count - 1) start."""
+    out = [start]
+    while len(out) < count:
+        out.append(mat_mul(c, out[-1]))
+    return out
+
+
+def _multiplicities(roots: list[int], traces: list[int]) -> list[int] | None:
+    """The mu_i with sum_i mu_i roots[i]^k = traces[k] for k < len(roots), by
+    Lagrange over the integers: mu_i = tr P_i(c) / P_i(roots[i]), where
+    P_i = prod_{j != i} (x - roots[j]); None unless all are positive integers."""
+    mus = []
+    for lam in roots:
+        poly = [1]  # P_i, coefficients low to high
+        for mu in roots:
+            if mu != lam:
+                poly = [a - mu * b for a, b in zip([0] + poly, poly + [0])]
+        m, rem = divmod(sum(p * t for p, t in zip(poly, traces)),
+                        math.prod(lam - mu for mu in roots if mu != lam))
+        if rem or m < 1:
+            return None
+        mus.append(m)
+    return mus
+
+
 def _wedderburn_components(d: int, gens: list[dict], basis: list[dict],
                            center: list[dict[int, int]]) -> ComponentSpec | None:
     """The (m_i, d_i) blocks of the algebra, one per eigenvalue of a central
@@ -299,37 +323,42 @@ def _wedderburn_components(d: int, gens: list[dict], basis: list[dict],
     s = combine((w * v, basis[k])
                 for w, element in enumerate(center, start=1) for k, v in element.items())
     c = combine([(1, s), (1, transpose(s))])
-    powers = [_identity_rows(d)]
-    for _ in range(z):
-        powers.append(mat_mul(powers[-1], c))
-    minpolys = _relations((_vectorize(d, p) for p in powers), d * d)
-    if len(minpolys) != 1:
-        return None  # deg minpoly < z: c does not separate the blocks
+    # deg minpoly(c) <= z, since c lies in the z-dimensional center: a single
+    # relation of degree z among v, cv, ..., c^z v is c's minimal polynomial
+    minpolys = _relations((_vectorize(1, v) for v in _krylov(_start_vector(d), c, z + 1)), d)
+    powers = None
+    if len(minpolys) != 1 or max(minpolys[0]) != z:
+        powers = _krylov(_identity_rows(d), c, z + 1)
+        minpolys = _relations((_vectorize(d, p) for p in powers), d * d)
+        if len(minpolys) != 1:
+            return None  # deg minpoly < z: c does not separate the blocks
     poly = [minpolys[0].get(k, 0) for k in range(z + 1)]
     bound = max((sum(map(abs, row.values())) for row in c.values()), default=0)
     roots = _integer_roots(poly, bound)  # |eigenvalue| <= max row sum
     if roots is None or len(roots) != z:
         return None  # the center does not split over Q
+    if z == delta:
+        # commutative: every block is 1 x 1, and c is symmetric, so m_i is the
+        # multiplicity of lambda_i, which the traces of I, c, ..., c^(z-1) fix
+        powers = powers or _krylov(_identity_rows(d), c, z)
+        traces = [sum(p.get(i, {}).get(i, 0) for i in range(d)) for p in powers[:z]]
+        mus = _multiplicities(roots, traces)
+        return None if mus is None else ComponentSpec(tuple((m, 1) for m in mus))
     comps = []
     for lam in roots:
         shifted = combine([(1, c), (-lam, _identity_rows(d))])
         # c is symmetric, so its kernel is the relations among its rows
         kernel = _relations((shifted.get(i, {}) for i in range(d)), d)
-        if z == delta:
-            block = 1  # commutative: every block is 1 x 1
-        else:
-            # rows of W^T * word lie in W_i, where an echelon basis is fixed
-            # by its entries at the leads; the span of the words is A on W_i
-            leads = {min(v) for v in kernel}
-            block_dim = len(_span_closure(d, gens, [dict(enumerate(kernel))], leads))
-            block = math.isqrt(block_dim)
-            if block * block != block_dim or len(kernel) % block:
-                return None
+        # rows of W^T * word lie in W_i, where an echelon basis is fixed
+        # by its entries at the leads; the span of the words is A on W_i
+        leads = {min(v) for v in kernel}
+        block_dim = len(_span_closure(d, gens, [dict(enumerate(kernel))], leads))
+        block = math.isqrt(block_dim)
+        if block * block != block_dim or len(kernel) % block:
+            return None
         comps.append((len(kernel) // block, block))
     spec = ComponentSpec(tuple(comps))
-    if spec.degree_sum != d or spec.dimension != delta:
-        return None
-    return spec
+    return spec if spec.degree_sum == d and spec.dimension == delta else None
 
 
 def algebra_stats(generators) -> tuple[AlgebraStats, ComponentSpec | None]:
@@ -337,7 +366,10 @@ def algebra_stats(generators) -> tuple[AlgebraStats, ComponentSpec | None]:
     components, or None for them when zeta came from the unit-matrix fallback."""
     d, gens = _prepare(generators)
     basis = _span_closure(d, gens, [_identity_rows(d)] + gens)
-    center = _commuting(d, gens, basis)
+    if all(mat_mul(g, h) == mat_mul(h, g) for i, g in enumerate(gens) for h in gens[i + 1:]):
+        center = [{k: 1} for k in range(len(basis))]  # commuting generators: A is commutative
+    else:
+        center = _commuting(d, gens, basis)
     comps = _wedderburn_components(d, gens, basis, center)
     zeta = comps.centralizer_dim if comps else centralizer_dimension(generators)
     return AlgebraStats(d=d, delta=len(basis), zeta=zeta, z=len(center)), comps

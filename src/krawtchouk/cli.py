@@ -41,7 +41,7 @@ from .matrices import (
     verify_sign_symmetries,
 )
 from .report import IdentityReport, render_rational, render_side
-from .zeon import ZeonMatrix, layer, lower_op, op_T, op_Tstar, op_U, raise_op
+from .zeon import layer, lower_op, op_T, op_Tstar, op_U, raise_op, zeon_sum
 
 DEFAULT_R_LIST = [
     Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
@@ -203,14 +203,15 @@ def _t_zeon(n: int) -> IdentityReport:
                 ("lower-commute", i + 1, k + 1),
                 lowers[i] @ lowers[k] == lowers[k] @ lowers[i],
             )
-    T, Tstar, U = op_T(n), op_Tstar(n), op_U(n)
+    T = zeon_sum(n, [(1, R) for R in raises])
+    Tstar = zeon_sum(n, [(1, L) for L in lowers])
+    U = Tstar @ T - T @ Tstar  # op_U's definition, on the T and T* at hand
     rep.record_bool(("Tstar-transpose",), Tstar == T.transpose())
     rep.record(("T-nnz",), T.nnz(), n * 2 ** (n - 1))
     rep.record_bool(("U-diagonal",), U.is_diagonal())
     rep.record(("U-spectrum",), U.diagonal(), [n - 2 * layer(I) for I in range(1 << n)])
-    anticomm_sum = ZeonMatrix(n)
-    for L, R in zip(lowers, raises):
-        anticomm_sum = anticomm_sum + (L @ R - R @ L)
+    anticomm_sum = zeon_sum(n, (term for L, R in zip(lowers, raises)
+                                for term in ((1, L @ R), (-1, R @ L))))
     rep.record_bool(("sum-of-commutators-is-U",), anticomm_sum == U)
     return rep
 

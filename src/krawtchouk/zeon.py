@@ -199,24 +199,25 @@ def lower_op(n: int, i: int) -> ZeonMatrix:
     return M
 
 
+def zeon_sum(n: int, terms) -> ZeonMatrix:
+    """The sum of c * A over the (c, A) pairs in terms, in one combine."""
+    out = ZeonMatrix(n)
+    out.rows = combine((c, A.rows) for c, A in terms)
+    return out
+
+
 def op_T(n: int) -> ZeonMatrix:
     """T = sum of the raising operators over i = 1..n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    out = ZeonMatrix(n)
-    for i in range(1, n + 1):
-        out = out + raise_op(n, i)
-    return out
+    return zeon_sum(n, ((1, raise_op(n, i)) for i in range(1, n + 1)))
 
 
 def op_Tstar(n: int) -> ZeonMatrix:
     """T* = sum of the lowering operators; equals the transpose of T."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    out = ZeonMatrix(n)
-    for i in range(1, n + 1):
-        out = out + lower_op(n, i)
-    return out
+    return zeon_sum(n, ((1, lower_op(n, i)) for i in range(1, n + 1)))
 
 
 def op_U(n: int) -> ZeonMatrix:

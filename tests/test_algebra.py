@@ -1,10 +1,13 @@
 """Tests for the exact algebra-structure statistics."""
 import copy
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krawtchouk import algebra
 from krawtchouk.algebra import (
     AlgebraStats,
     BudgetError,
@@ -349,3 +352,60 @@ def test_algebra_stats_leaves_zeon_generators_unchanged(gens):
     before = [copy.deepcopy(g.rows) for g in gens]
     algebra_stats(gens)
     assert [g.rows for g in gens] == before
+
+
+# ---------------------------------------------------------------------------
+# the shortcuts of algebra_stats: commuting generators, the Krylov minimal
+# polynomial and the multiplicities from traces
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(M=SMALL_MATRIX, diagonal=st.booleans())
+def test_commuting_generators_skip_the_center_pass(M, diagonal):
+    d = len(M)
+    S = [[M[i][j] + M[j][i] if i == j or not diagonal else 0 for j in range(d)] for i in range(d)]
+    square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*S)] for row in S]
+    gens = [S, [[x - 2 * y for x, y in zip(r2, r)] for r2, r in zip(square, S)]]  # S, S^2 - 2S
+    calls = []
+    real = algebra._commuting
+    with mock.patch.object(algebra, "_commuting", lambda *args: calls.append(1) or real(*args)):
+        stats, comps = algebra_stats(gens)
+    assert len(calls) == (comps is None)  # only the unit-matrix fallback may run it
+    basis = closure_by_definition(gens)
+    assert stats.delta == len(basis) == stats.z == center_by_definition(gens, basis)
+    assert stats.zeta == centralizer_by_definition(gens)
+    if comps is not None:
+        assert comps.count == stats.z and comps.centralizer_dim == stats.zeta
+        assert comps.degree_sum == d and all(block == 1 for _, block in comps.components)
+        if diagonal:  # the blocks are the eigenspaces of S
+            assert sorted(m for m, _ in comps.components) == sorted(
+                Counter(S[i][i] for i in range(d)).values())
+
+
+def test_multiplicities_solve_the_trace_system_or_refuse():
+    roots = [-1, 2, 5]
+
+    def traces(mus):
+        return [sum(m * lam**k for m, lam in zip(mus, roots)) for k in range(3)]
+
+    assert algebra._multiplicities(roots, traces([3, 1, 2])) == [3, 1, 2]
+    assert algebra._multiplicities(roots, traces([3, 0, 2])) is None  # not positive
+    shifted = traces([3, 1, 2])
+    shifted[0] += 1
+    assert algebra._multiplicities(roots, shifted) is None  # not integral
+
+
+@pytest.mark.parametrize("start", [{}, {0: {0: 1}}], ids=["zero", "first-unit-vector"])
+def test_a_failing_krylov_start_falls_back_to_the_powers_of_c(monkeypatch, start):
+    expected = {(family, n): algebra_stats(family_generators(family, n))
+                for family in Family for n in range(2, 5)}
+    real, calls = algebra._krylov, []
+    monkeypatch.setattr(algebra, "_start_vector", lambda d: start)
+    monkeypatch.setattr(algebra, "_krylov",
+                        lambda v, c, count: calls.append((v is start, count)) or real(v, c, count))
+    for (family, n), (stats, comps) in expected.items():
+        calls.clear()
+        assert comps is not None
+        assert algebra_stats(family_generators(family, n)) == (stats, comps), (family, n)
+        # v's sequence is refused; one sequence I, c, ..., c^z serves the traces too
+        assert calls == [(True, stats.z + 1), (False, stats.z + 1)], (family, n)

@@ -44,7 +44,10 @@ CORPUS = {
     "zeon-raise-json": ["zeon", "--n", "3", "--op", "raise:2", "--format", "json"],
     **{f"algebra-{family}-{n}-{fmt}": ["algebra", "--family", family, "--n", str(n),
                                        "--check", "--format", fmt]
-       for family in ("U", "T", "TT") for n in range(1, 5) for fmt in ("text", "json")},
+       for family in ("U", "T", "TT") for n in range(1, 6) for fmt in ("text", "json")},
+    **{f"algebra-{family}-6-json": ["algebra", "--family", family, "--n", "6", "--allow-large",
+                                    "--check", "--format", "json"]
+       for family in ("T", "TT")},
     "budget-matrix": ["matrix", "--n", "161"],
     "budget-verify": ["verify", "--suite", "pascal", "--max-n", "25"],
     "budget-r": ["matrix", "--n", "40", "--r", "1e1000"],
