@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .combinatorics import binomial, catalan, super_catalan
 from .matrices import KrawtchoukMatrix, build_matrix
 from .report import IdentityReport
-from .zeon import ZeonMatrix, lower_op, op_T, op_Tstar, op_U, raise_op, zeon_mul
+from .zeon import ZeonMatrix, lower_op, op_T, op_Tstar, op_U, raise_op
 from .algebra import (
     AlgebraStats,
     ComponentSpec,
@@ -28,7 +28,6 @@ __all__ = [
     "build_matrix",
     "IdentityReport",
     "ZeonMatrix",
-    "zeon_mul",
     "raise_op",
     "lower_op",
     "op_T",

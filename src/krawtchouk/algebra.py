@@ -116,10 +116,6 @@ class ExactEchelon:
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
     def insert(self, vec: dict[int, int]) -> bool:
         """Reduce vec against the pivots; True iff it enlarges the span."""
         vec = {c: v for c, v in vec.items() if v != 0}
@@ -430,35 +426,23 @@ def component_consistency(comps: ComponentSpec, stats: AlgebraStats) -> Identity
 
 def degree_via_krawtchouk(n: int) -> tuple[int, int]:
     """Degree of the T/T* family via a Krawtchouk half-range product sum."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    N = n + 1
-    M = build_matrix(N, 1)
-    lhs = sum(M.entry(1, a) * M.entry(a, 1) for a in range(n // 2 + 1))
-    return lhs, 2 ** n
+    d = predicted_stats(Family.T_TSTAR, n)[0].d
+    M = build_matrix(n + 1, 1)
+    return sum(M.entry(1, a) * M.entry(a, 1) for a in range(n // 2 + 1)), d
 
 
 def delta_via_row_squares(n: int) -> tuple[int, int]:
     """Algebra dimension of the T/T* family as a sum of squared odd degrees."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lhs = sum((n + 1 - 2 * a) ** 2 for a in range(n // 2 + 1))
-    return lhs, binomial(n + 3, 3)
+    delta = predicted_stats(Family.T_TSTAR, n)[0].delta
+    return sum((n + 1 - 2 * a) ** 2 for a in range(n // 2 + 1)), delta
 
 
 def zeta_via_theorem(n: int) -> tuple[int, int]:
     """Centralizer dimension of the TT*/T*T family via the sum-of-squares identity."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    zeta = predicted_stats(Family.TTSTAR_TSTART, n)[0].zeta
     N = n + 1
-    m = N // 2
     M = build_matrix(N, 1)
-    lhs = sum((N - 2 * a) * M.entry(a, 1) ** 2 for a in range(m + 1))
-    if n % 2 == 0:
-        rhs = binomial(n, n // 2) ** 2
-    else:
-        rhs = 2 * binomial(n, n // 2) * binomial(n - 1, n // 2)
-    return lhs, rhs
+    return sum((N - 2 * a) * M.entry(a, 1) ** 2 for a in range(N // 2 + 1)), zeta
 
 
 # ---------------------------------------------------------------------------

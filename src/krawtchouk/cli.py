@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import DEFAULT_MAX_N, LARGE_MAX_N, Family, analyze_family
-from .combinatorics import binomial
 from .identities import (
     catalan_connection_report,
     central_row_value,
     column_square_central_link,
+    column_squares_closed_form,
     column_sum_of_squares,
     row_sum_of_squares,
     super_catalan_link,
@@ -58,12 +58,9 @@ MAX_VERIFY_N = 24
 # builder slows with them. matrix --n 160 takes 22-26 s at r = 999999/999998
 # (entries of at most 960 digits a part) and 25-27 s with 7 digits.
 MAX_R_DIGITS = 6
-
-SUITE_NAMES = [
-    "pascal", "recurrence", "involution", "symmetries", "rows-cols",
-    "conjugation", "sums", "catalan", "supercatalan", "zeon", "all",
-]
-
+# Most --r values one verify takes; each adds a sweep of every level. verify
+# --suite all --max-n 24 takes 19-22 s with 20 six-digit r values (44 MiB peak).
+MAX_R_VALUES = 20
 
 # a negative rational such as -5/9, which argparse would read as an option
 NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
@@ -152,10 +149,7 @@ def _t_colsquares_integrality(max_N: int) -> IdentityReport:
     rep = IdentityReport(suite=f"col-squares integrality N<={max_N}")
     for N in range(max_N + 1):
         for j in range(N + 1):
-            closed = Fraction(
-                binomial(2 * N - 2 * j, N - j) * binomial(2 * j, j), binomial(N, j)
-            )
-            rep.record(("integral", N, j), closed.denominator, 1)
+            rep.record(("integral", N, j), column_squares_closed_form(N, j).denominator, 1)
     return rep
 
 
@@ -233,35 +227,29 @@ def _run_task(task):
     return fn(*args)
 
 
+# suite name -> its tasks up to level top at the r values rs, in the order the suites run
+SUITES = {
+    "pascal": lambda top, rs: [(verify_pascal, (N, r)) for N in range(top + 1) for r in rs],
+    "recurrence": lambda top, rs: [(verify_recurrence_j, (N, r))
+                                   for N in range(1, top + 1) for r in rs],
+    "involution": lambda top, rs: [(verify_involution, (N,)) for N in range(top + 1)],
+    "symmetries": lambda top, rs: [(verify_sign_symmetries, (N,)) for N in range(top + 1)],
+    "rows-cols": lambda top, rs: [(closed_form_row1_col01, (N,)) for N in range(top + 1)],
+    "conjugation": lambda top, rs: [(verify_binomial_conjugation, (N,)) for N in range(top + 1)],
+    "sums": lambda top, rs: [(_t_sums, (N, tuple(rs))) for N in range(1, top + 1)]
+        + [(_t_colsquares_integrality, (max(top, 20),))],
+    "catalan": lambda top, rs: [(_t_central_rows, (N,)) for N in range(max(top, 14) + 1)]
+        + [(catalan_connection_report, (m,)) for m in range(1, top + 1)]
+        + [(_t_column_square_link, (m,)) for m in range(top + 1)],
+    "supercatalan": lambda top, rs: [(_t_supercatalan, (max(top, 15),))],
+    "zeon": lambda top, rs: [(_t_zeon, (n,)) for n in range(1, min(top, 8) + 1)],
+}
+SUITE_NAMES = [*SUITES, "all"]
+
+
 def _build_tasks(suites: list[str], max_n: int, r_list: list[Fraction]):
-    tasks: list[tuple] = []
-    want = set(suites)
-    if "all" in want:
-        want = set(SUITE_NAMES) - {"all"}
-    if "pascal" in want:
-        tasks += [(verify_pascal, (N, r)) for N in range(max_n + 1) for r in r_list]
-    if "recurrence" in want:
-        tasks += [(verify_recurrence_j, (N, r)) for N in range(1, max_n + 1) for r in r_list]
-    if "involution" in want:
-        tasks += [(verify_involution, (N,)) for N in range(max_n + 1)]
-    if "symmetries" in want:
-        tasks += [(verify_sign_symmetries, (N,)) for N in range(max_n + 1)]
-    if "rows-cols" in want:
-        tasks += [(closed_form_row1_col01, (N,)) for N in range(max_n + 1)]
-    if "conjugation" in want:
-        tasks += [(verify_binomial_conjugation, (N,)) for N in range(max_n + 1)]
-    if "sums" in want:
-        tasks += [(_t_sums, (N, tuple(r_list))) for N in range(1, max_n + 1)]
-        tasks += [(_t_colsquares_integrality, (max(max_n, 20),))]
-    if "catalan" in want:
-        tasks += [(_t_central_rows, (N,)) for N in range(max(max_n, 14) + 1)]
-        tasks += [(catalan_connection_report, (m,)) for m in range(1, max_n + 1)]
-        tasks += [(_t_column_square_link, (m,)) for m in range(max_n + 1)]
-    if "supercatalan" in want:
-        tasks += [(_t_supercatalan, (max(max_n, 15),))]
-    if "zeon" in want:
-        tasks += [(_t_zeon, (n,)) for n in range(1, min(max_n, 8) + 1)]
-    return tasks
+    return [task for name, tasks in SUITES.items() if name in suites or "all" in suites
+            for task in tasks(max_n, r_list)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +302,9 @@ def cmd_matrix(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_budget("--max-n", args.max_n, MAX_VERIFY_N)
+    if len(args.r) > MAX_R_VALUES:
+        raise ValueError(
+            f"--r given {len(args.r)} times exceeds the budget ({MAX_R_VALUES} values)")
     t0 = time.monotonic()
     tasks = _build_tasks(args.suite, args.max_n, args.r)
     if args.inject_fault:

@@ -177,6 +177,11 @@ def column_sum_relation(N: int, j: int, m: int,
     return _prefix(sweep_column_sum_relation(N, j, M, M1), N, j, m)
 
 
+def column_squares_closed_form(N: int, j: int) -> Fraction:
+    """C(2N-2j, N-j) C(2j, j) / C(N, j), the sum of squares down column j at r = 1."""
+    return Fraction(binomial(2 * N - 2 * j, N - j) * binomial(2 * j, j), binomial(N, j))
+
+
 def column_sum_of_squares(N: int, j: int,
                           M: KrawtchoukMatrix | None = None) -> tuple[int, Fraction]:
     """Full sum of squares down column j versus its binomial closed form."""
@@ -184,9 +189,7 @@ def column_sum_of_squares(N: int, j: int,
         raise ValueError(f"bad parameters N={N} j={j}")
     if M is None:
         M = build_matrix(N, 1)
-    brute = sum(M.entry(i, j) ** 2 for i in range(N + 1))
-    closed = Fraction(binomial(2 * N - 2 * j, N - j) * binomial(2 * j, j), binomial(N, j))
-    return brute, closed
+    return sum(M.entry(i, j) ** 2 for i in range(N + 1)), column_squares_closed_form(N, j)
 
 
 def row_sum_of_squares(N: int, i: int,

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-DEFAULT_MAX_STORED = 100
+MAX_STORED = 100
 
 
 def render_rational(x: Fraction | int) -> str:
@@ -43,7 +43,7 @@ class Failure:
 class IdentityReport:
     """Outcome of one verification sweep: case count plus exact-mismatch list.
 
-    The stored failure list is capped at ``max_stored`` entries, but
+    The stored failure list is capped at MAX_STORED entries, but
     ``failure_count`` always reflects the true total.
     """
 
@@ -51,7 +51,6 @@ class IdentityReport:
     cases: int = 0
     failure_count: int = 0
     failures: list[Failure] = field(default_factory=list)
-    max_stored: int = DEFAULT_MAX_STORED
 
     @property
     def ok(self) -> bool:
@@ -62,7 +61,7 @@ class IdentityReport:
         self.cases += 1
         if left != right:
             self.failure_count += 1
-            if len(self.failures) < self.max_stored:
+            if len(self.failures) < MAX_STORED:
                 self.failures.append(Failure(params, left, right))
 
     def record_scaled(self, params: tuple, left: int, right: int, scale: int) -> None:

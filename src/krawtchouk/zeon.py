@@ -7,19 +7,10 @@ first.
 """
 from __future__ import annotations
 
-ANNIHILATED = None  # result of a zeon product with a repeated generator
-
 
 def layer(mask: int) -> int:
     """Cardinality of the subset encoded by the bitmask."""
     return bin(mask).count("1")
-
-
-def zeon_mul(I: int, J: int) -> int | None:
-    """Product e_I e_J: the union when disjoint, ANNIHILATED otherwise."""
-    if I & J:
-        return ANNIHILATED
-    return I | J
 
 
 Rows = dict[int, dict[int, int]]

@@ -409,3 +409,26 @@ def test_a_failing_krylov_start_falls_back_to_the_powers_of_c(monkeypatch, start
         assert algebra_stats(family_generators(family, n)) == (stats, comps), (family, n)
         # v's sequence is refused; one sequence I, c, ..., c^z serves the traces too
         assert calls == [(True, stats.z + 1), (False, stats.z + 1)], (family, n)
+
+
+def test_a_non_square_generator_is_refused():
+    with pytest.raises(ValueError, match="square"):
+        algebra_stats([[[1, 2]]])
+    with pytest.raises(ValueError, match="square"):
+        algebra_stats([[[1, 0], [0]]])
+
+
+def test_a_block_dimension_that_is_not_a_square_falls_back(monkeypatch):
+    # one extra element in each block's closure makes d_i^2 + 1, never a square
+    real = algebra._span_closure
+
+    def padded(d, gens, seed, cols=None):
+        basis = real(d, gens, seed, cols)
+        return basis + [{}] if cols is not None else basis
+
+    gens = family_generators(Family.T_TSTAR, 3)
+    expected, comps = algebra_stats(gens)
+    assert comps is not None
+    monkeypatch.setattr(algebra, "_span_closure", padded)
+    assert algebra_stats(gens) == (expected, None)
+    assert expected.zeta == catalan(3)

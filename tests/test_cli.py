@@ -1,4 +1,5 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
+import dataclasses
 import json
 import os
 import signal
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from krawtchouk import cli
+from krawtchouk import algebra, cli, matrices
 from krawtchouk.cli import main, pool_size
 from krawtchouk.report import Failure, render_side
 
@@ -109,6 +110,18 @@ def test_verify_unknown_suite_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--max-n", "-1"], "--max-n must be nonnegative"),
+    (["--jobs", "0"], "--jobs must be >= 1"),
+], ids=["max-n", "jobs"])
+def test_verify_a_size_below_its_range_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "pascal", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 def test_verify_injected_fault_exits_1(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "involution", "--max-n", "2",
                        "--inject-fault")
@@ -129,6 +142,14 @@ def test_verify_jobs_matches_sequential(capsys):
     _, out2, _ = run(capsys, *base, "--jobs", "2")
     doc1, doc2 = json.loads(out1), json.loads(out2)
     assert doc1["suites"] == doc2["suites"]
+
+
+def test_suites_run_in_table_order_whatever_the_argv_order(capsys):
+    _, out, _ = run(capsys, "verify", "--suite", "zeon", "--suite", "pascal", "--max-n", "1",
+                    "--r", "2")
+    names = [line.split(":")[0] for line in out.splitlines()]
+    assert names == ["pascal N=0 r=2", "pascal N=1 r=2", "zeon n=1", "total"]
+    assert list(cli.SUITES) == cli.SUITE_NAMES[:-1] and cli.SUITE_NAMES[-1] == "all"
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -250,6 +271,21 @@ def test_algebra_tt_n2_note_does_not_fail_check(capsys):
     code, out, _ = run(capsys, "algebra", "--n", "2", "--family", "TT", "--check")
     assert code == 0
     assert "NOTE: stated z differs" in out
+
+
+def test_algebra_check_exits_1_when_a_statistic_disagrees(capsys, monkeypatch):
+    real = algebra.predicted_stats
+
+    def wrong_zeta(family, n):
+        stats, comps = real(family, n)
+        return dataclasses.replace(stats, zeta=stats.zeta + 1), comps
+
+    monkeypatch.setattr(algebra, "predicted_stats", wrong_zeta)
+    code, out, _ = run(capsys, "algebra", "--n", "3", "--family", "U", "--check")
+    assert code == 1
+    assert "zeta         20         21  NO\n" in out
+    code, _, _ = run(capsys, "algebra", "--n", "3", "--family", "U")
+    assert code == 0  # a disagreement fails only with --check
 
 
 def test_algebra_budget_exceeded_exits_2(capsys):
@@ -401,6 +437,26 @@ def test_an_r_above_the_digit_budget_exits_2_at_once(capsys, r):
 def test_an_r_inside_the_digit_budget_is_accepted(r, expected):
     assert cli.MAX_R_DIGITS == 6
     assert cli.parse_rational(r) == expected
+
+
+# ---------------------------------------------------------------------------
+# the number of r values: at most MAX_R_VALUES
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [cli.MAX_R_VALUES, cli.MAX_R_VALUES + 1])
+def test_the_r_count_budget_is_checked_before_any_matrix(capsys, monkeypatch, count):
+    assert 7 <= cli.MAX_R_VALUES == 20  # room for the default r list
+    built = []
+    real = matrices.build_matrix
+    monkeypatch.setattr(matrices, "build_matrix", lambda N, r: built.append(N) or real(N, r))
+    code, out, err = run(capsys, "verify", "--suite", "pascal", "--max-n", "1",
+                         *(f"--r={k}" for k in range(count)))
+    if count <= cli.MAX_R_VALUES:
+        assert code == 0 and out.endswith(f"total: {10 * count} cases, 0 failures\n")
+        assert built
+    else:
+        assert code == 2 and out == "" and not built
+        assert err == f"error: --r given {count} times exceeds the budget (20 values)\n"
 
 
 # ---------------------------------------------------------------------------

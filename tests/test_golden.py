@@ -52,6 +52,8 @@ CORPUS = {
     "budget-verify": ["verify", "--suite", "pascal", "--max-n", "25"],
     "budget-r": ["matrix", "--n", "40", "--r", "1e1000"],
     "budget-r-digits": ["matrix", "--n", "6", "--r", "1000000/999999"],
+    "budget-r-count": ["verify", "--suite", "pascal", "--max-n", "2",
+                       *(f"--r={k}" for k in range(21))],
     "budget-algebra": ["algebra", "--family", "U", "--n", "6"],
     "budget-algebra-large": ["algebra", "--family", "U", "--n", "7", "--allow-large"],
     "bad-zeon-token": ["zeon", "--n", "2", "--op", "foo"],

@@ -252,6 +252,65 @@ def test_build_matches_binomial_sum_oracle(N, r):
 
 
 # ---------------------------------------------------------------------------
+# proofs for every r: each entry is a polynomial in r over the integers, and
+# each identity a polynomial identity, so one check in Z[r] covers every r
+# ---------------------------------------------------------------------------
+
+def zr(*terms):
+    """The sum of c * r^s * p over the (c, s, p) triples, where p is a polynomial
+    in r given by its int coefficients, low to high; trailing zeros trimmed."""
+    out = [0] * max(s + len(p) for _, s, p in terms)
+    for c, s, p in terms:
+        for k, v in enumerate(p):
+            out[s + k] += c * v
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def zr_level(N):
+    """Level N in Z[r], rows [n][j]. Column 0 is the binomials C(N, n); column
+    j + 1 is column j times (1 - rz), divided by (1 + z) with remainder 0."""
+    column = [zr((comb(N, n), 0, [1])) for n in range(N + 1)]
+    columns = [column]
+    for _ in range(N):
+        times = [zr((1, 0, a), (-1, 1, b)) for a, b in zip(column + [[]], [[]] + column)]
+        column = []
+        for t in times[:-1]:
+            column.append(zr((1, 0, t), (-1, 0, column[-1] if column else [])))
+        assert zr((1, 0, times[-1]), (-1, 0, column[-1])) == [], (N, len(columns))
+        columns.append(column)
+    return [[col[n] for col in columns] for n in range(N + 1)]
+
+
+def test_pascal_and_recurrence_hold_in_z_r_up_to_level_40():
+    for N in range(41):
+        K, K1 = zr_level(N), zr_level(N + 1)
+        rows = [[[]] * (N + 1)] + K + [[[]] * (N + 1)]  # rows n - 1 and n, zero outside
+        for n in range(N + 2):
+            prev, row = rows[n], rows[n + 1]
+            for j in range(N + 1):
+                assert zr((1, 0, row[j]), (1, 0, prev[j])) == K1[n][j], ("i", N, n, j)
+                assert zr((1, 0, row[j]), (-1, 1, prev[j])) == K1[n][j + 1], ("ii", N, n, j)
+        for n, row in enumerate(K):
+            for j in range(N + 1):
+                # (N - n(1+r) + (r-1) j) K[n][j] = (N-j) K[n][j+1] + r j K[n][j-1]
+                lhs = zr((N - n - j, 0, row[j]), (j - n, 1, row[j]))
+                rhs = zr((N - j, 0, row[j + 1] if j < N else []),
+                         (j, 1, row[j - 1] if j else []))
+                assert lhs == rhs, ("recurrence", N, n, j)
+
+
+def test_z_r_levels_evaluate_to_the_built_matrices():
+    for N in range(13):
+        for r in R_SAMPLES:
+            values = tuple(tuple(sum(c * r**k for k, c in enumerate(entry)) for entry in row)
+                           for row in zr_level(N))
+            assert build_matrix(N, r).entries == values, (N, r)
+
+
+# ---------------------------------------------------------------------------
 # entry types: ints at r = 1, Fractions for every other r
 # ---------------------------------------------------------------------------
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from krawtchouk.combinatorics import binomial
 from krawtchouk.zeon import (
-    ANNIHILATED,
     ZeonMatrix,
     combine,
     layer,
@@ -16,15 +15,7 @@ from krawtchouk.zeon import (
     op_U,
     raise_op,
     transpose,
-    zeon_mul,
 )
-
-
-def test_zeon_mul():
-    assert zeon_mul(0b01, 0b10) == 0b11
-    assert zeon_mul(0b01, 0b01) is ANNIHILATED
-    assert zeon_mul(0, 0b110) == 0b110
-    assert zeon_mul(0b101, 0b100) is ANNIHILATED
 
 
 def test_layer():
