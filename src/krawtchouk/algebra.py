@@ -12,8 +12,15 @@ of one central element c: its minimal polynomial from the Krylov sequence
 v, cv, ..., c^z v of d-vectors, and, when z = delta, its multiplicities from
 the traces of its powers. Otherwise, or when a certificate of that path
 fails, zeta comes from the same routine as the center, over the d^2 unit
-matrices. The three operator families over the Boolean lattice are wired up
-here together with their closed-form predictions.
+matrices.
+
+The three operator families over the Boolean lattice are wired up here
+together with their closed-form predictions. Their generators commute with
+every permutation of the n coordinates, so analyze_family runs the same
+method in the S_n orbit basis (orbits.OrbitBasis): closure, center, c and
+its minimal polynomial on C(n+3, 3)-vectors instead of 2^n x 2^n matrices,
+with the block degrees d_i^2 = dim P_i(c) A. If a certificate of that path
+fails, it falls back to algebra_stats on the 2^n matrices for n <= 6.
 """
 from __future__ import annotations
 
@@ -21,14 +28,17 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .combinatorics import binomial, catalan
 from .matrices import build_matrix
+from .orbits import OrbitBasis
 from .report import IdentityReport
 from .zeon import ZeonMatrix, combine, mat_mul, op_T, op_Tstar, op_U, transpose
 
-DEFAULT_MAX_N = 5
-LARGE_MAX_N = 6
+DEFAULT_MAX_N = 12
+LARGE_MAX_N = 18
+MATRIX_PATH_MAX_N = 6  # the families' 2^n fallback; n = 6 takes about 0.5 s
 
 
 class BudgetError(ValueError):
@@ -171,22 +181,22 @@ def _prepare(generators) -> tuple[int, list[dict]]:
     return d, [rows for _, rows in sizes_rows]
 
 
-def _span_closure(d: int, gens: list[dict], seed: list[dict],
-                  cols: set[int] | None = None) -> list[dict]:
-    """Basis of the span of seed * words in gens; ``cols`` as in _vectorize."""
+def _span_closure(gens: list, seed: list, mul, vec) -> list:
+    """Basis of the span of seed * words in gens, where mul(a, b) is the
+    product and vec(a) the {column: value} vector that the echelon sees."""
     ech = ExactEchelon()
-    basis: list[dict] = []
-    frontier: list[dict] = []
+    basis: list = []
+    frontier: list = []
     for m in seed:
-        if ech.insert(_vectorize(d, m, cols)):
+        if ech.insert(vec(m)):
             basis.append(m)
             frontier.append(m)
     while frontier:
-        fresh: list[dict] = []
+        fresh: list = []
         for m in frontier:
             for g in gens:
-                prod = mat_mul(m, g)
-                if ech.insert(_vectorize(d, prod, cols)):
+                prod = mul(m, g)
+                if ech.insert(vec(prod)):
                     basis.append(prod)
                     fresh.append(prod)
         frontier = fresh
@@ -197,37 +207,42 @@ def span_closure_dimension(generators) -> int:
     """Dimension of the unital algebra generated by the given matrices: the span
     of the identity and the generators, each times every word in the generators."""
     d, gens = _prepare(generators)
-    return len(_span_closure(d, gens, [_identity_rows(d)] + gens))
+    return len(_span_closure(gens, [_identity_rows(d)] + gens, mat_mul, partial(_vectorize, d)))
 
 
 def centralizer_dimension(generators) -> int:
     """Dimension of the space of matrices commuting with every generator."""
     d, gens = _prepare(generators)
-    return len(_commuting(d, gens, ({k: {l: 1}} for k in range(d) for l in range(d))))
+    units = ({k: {l: 1}} for k in range(d) for l in range(d))
+    return len(_commuting(gens, units, mat_mul, partial(_vectorize, d), d * d))
 
 
 def center_dimension(generators) -> int:
     """Dimension of the center: algebra elements commuting with all generators."""
     d, gens = _prepare(generators)
-    return len(_commuting(d, gens, _span_closure(d, gens, [_identity_rows(d)] + gens)))
+    vec = partial(_vectorize, d)
+    basis = _span_closure(gens, [_identity_rows(d)] + gens, mat_mul, vec)
+    return len(_commuting(gens, basis, mat_mul, vec, d * d))
 
 
-def _commuting(d: int, gens: list[dict], elements) -> list[dict[int, int]]:
+def _commuting(gens: list, elements, mul, vec, width: int) -> list[dict[int, int]]:
     """The combinations of ``elements`` that commute with every generator, as
     coefficient vectors {k: x_k}: over the unit matrices they span the
-    centralizer, over an algebra basis the center.
+    centralizer, over an algebra basis the center. mul and vec are as in
+    _span_closure, and every vector has its columns below ``width``.
 
     One tagged echelon pass over the commutators [b_k, g] of every element
     with every generator; the relations among them are the answer.
     """
     def commutators(b):
-        vec: dict[int, int] = {}
+        out: dict[int, int] = {}
         for idx, g in enumerate(gens):
-            for c, v in _vectorize(d, combine([(1, mat_mul(b, g)), (-1, mat_mul(g, b))])).items():
-                vec[idx * d * d + c] = v
-        return vec
+            for sign, prod in ((1, mul(b, g)), (-1, mul(g, b))):
+                for c, v in vec(prod).items():
+                    out[idx * width + c] = out.get(idx * width + c, 0) + sign * v
+        return out
 
-    return _relations(map(commutators, elements), len(gens) * d * d)
+    return _relations(map(commutators, elements), len(gens) * width)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +306,23 @@ def _krylov(start: dict, c: dict, count: int) -> list[dict]:
     return out
 
 
+def _lagrange(roots: list[int], lam: int) -> list[int]:
+    """P = prod (x - mu) over the roots mu other than lam, coefficients low to
+    high: P(c) is P(lam) times the central idempotent of c's lam-eigenspace."""
+    poly = [1]
+    for mu in roots:
+        if mu != lam:
+            poly = [a - mu * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
 def _multiplicities(roots: list[int], traces: list[int]) -> list[int] | None:
     """The mu_i with sum_i mu_i roots[i]^k = traces[k] for k < len(roots), by
-    Lagrange over the integers: mu_i = tr P_i(c) / P_i(roots[i]), where
-    P_i = prod_{j != i} (x - roots[j]); None unless all are positive integers."""
+    Lagrange over the integers: mu_i = tr P_i(c) / P_i(roots[i]), with P_i from
+    _lagrange; None unless all are positive integers."""
     mus = []
     for lam in roots:
-        poly = [1]  # P_i, coefficients low to high
-        for mu in roots:
-            if mu != lam:
-                poly = [a - mu * b for a, b in zip([0] + poly, poly + [0])]
-        m, rem = divmod(sum(p * t for p, t in zip(poly, traces)),
+        m, rem = divmod(sum(p * t for p, t in zip(_lagrange(roots, lam), traces)),
                         math.prod(lam - mu for mu in roots if mu != lam))
         if rem or m < 1:
             return None
@@ -348,7 +369,8 @@ def _wedderburn_components(d: int, gens: list[dict], basis: list[dict],
         # rows of W^T * word lie in W_i, where an echelon basis is fixed
         # by its entries at the leads; the span of the words is A on W_i
         leads = {min(v) for v in kernel}
-        block_dim = len(_span_closure(d, gens, [dict(enumerate(kernel))], leads))
+        block_dim = len(_span_closure(gens, [dict(enumerate(kernel))], mat_mul,
+                                      partial(_vectorize, d, cols=leads)))
         block = math.isqrt(block_dim)
         if block * block != block_dim or len(kernel) % block:
             return None
@@ -361,11 +383,12 @@ def algebra_stats(generators) -> tuple[AlgebraStats, ComponentSpec | None]:
     """(d, delta, zeta, z) of the generated unital algebra, and its computed
     components, or None for them when zeta came from the unit-matrix fallback."""
     d, gens = _prepare(generators)
-    basis = _span_closure(d, gens, [_identity_rows(d)] + gens)
+    vec = partial(_vectorize, d)
+    basis = _span_closure(gens, [_identity_rows(d)] + gens, mat_mul, vec)
     if all(mat_mul(g, h) == mat_mul(h, g) for i, g in enumerate(gens) for h in gens[i + 1:]):
         center = [{k: 1} for k in range(len(basis))]  # commuting generators: A is commutative
     else:
-        center = _commuting(d, gens, basis)
+        center = _commuting(gens, basis, mat_mul, vec, d * d)
     comps = _wedderburn_components(d, gens, basis, center)
     zeta = comps.centralizer_dim if comps else centralizer_dimension(generators)
     return AlgebraStats(d=d, delta=len(basis), zeta=zeta, z=len(center)), comps
@@ -460,6 +483,75 @@ def family_generators(family: Family, n: int):
     raise ValueError(f"unknown family {family!r}")
 
 
+# The orbit path. Each family's generator set is closed under transpose, so
+# A is semisimple, as _wedderburn_components requires. P_i(c) is a nonzero
+# multiple of block i's central idempotent e_i, so the span of P_i(c) times
+# the words in the generators is e_i A, of dimension d_i^2; mu_i = m_i d_i
+# comes from the traces of c's powers.
+
+ORBIT_TRIES = 32  # c = g1 + t g2 for t = 1..ORBIT_TRIES in a commutative family
+
+
+def _orbit_generators(orbits: OrbitBasis, family: Family) -> list[dict[int, int]]:
+    """family_generators(family, n) as orbit-basis vectors."""
+    n = orbits.n
+    if family is Family.U:
+        return [orbits.element(((i, i, i), n - 2 * i) for i in range(n + 1))]
+    T = orbits.element(((i + 1, i, i), 1) for i in range(n))
+    Tstar = orbits.transpose(T)
+    if family is Family.T_TSTAR:
+        return [T, Tstar]
+    return [orbits.mul(T, Tstar), orbits.mul(Tstar, T)]
+
+
+def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | None:
+    """algebra_stats(family_generators(family, n)), computed in the S_n orbit
+    basis; None when a certificate fails."""
+    orbits = OrbitBasis(n)
+    mul, one = orbits.mul, orbits.identity()
+    gens = _orbit_generators(orbits, family)
+    # an orbit-basis element is its own coordinate vector
+    basis = _span_closure(gens, [one] + gens, mul, dict)
+    if all(mul(g, h) == mul(h, g) for i, g in enumerate(gens) for h in gens[i + 1:]):
+        center = [{k: 1} for k in range(len(basis))]  # A is commutative
+        ts = range(1, ORBIT_TRIES + 1) if len(gens) > 1 else (1,)
+        candidates = (orbits.combine((t ** k, g) for k, g in enumerate(gens)) for t in ts)
+    else:
+        center = _commuting(gens, basis, mul, dict, orbits.size)
+        s = orbits.combine((w * v, basis[k])
+                           for w, element in enumerate(center, start=1) for k, v in element.items())
+        candidates = [orbits.combine([(1, s), (1, orbits.transpose(s))])]
+    z = len(center)
+    for c in candidates:
+        powers = [one]
+        while len(powers) <= z:
+            powers.append(mul(powers[-1], c))
+        minpolys = _relations(powers, orbits.size)
+        if len(minpolys) == 1 and max(minpolys[0]) == z:
+            break  # deg minpoly(c) = z: c separates the blocks
+    else:
+        return None
+    roots = _integer_roots([minpolys[0].get(k, 0) for k in range(z + 1)],
+                           orbits.row_sum_bound(c))
+    if roots is None or len(roots) != z:
+        return None
+    mus = _multiplicities(roots, [orbits.trace(p) for p in powers[:z]])
+    if mus is None:
+        return None
+    comps = []
+    for lam, mu in zip(roots, mus):
+        ideal = orbits.combine(zip(_lagrange(roots, lam), powers))
+        block_dim = len(_span_closure(gens, [ideal], mul, dict))
+        block = math.isqrt(block_dim)
+        if block * block != block_dim or mu % block:
+            return None
+        comps.append((mu // block, block))
+    spec = ComponentSpec(tuple(comps))
+    if spec.degree_sum != 1 << n or spec.dimension != len(basis):
+        return None
+    return AlgebraStats(d=1 << n, delta=len(basis), zeta=spec.centralizer_dim, z=z), spec
+
+
 @dataclass
 class AlgebraComparison:
     family: Family
@@ -502,13 +594,23 @@ class AlgebraComparison:
 def analyze_family(family: Family, n: int, allow_large: bool = False) -> AlgebraComparison:
     """Compute the four statistics for one operator family and compare.
 
-    The default budget is n <= 5; n = 6 requires allow_large.
+    The statistics come from orbit_stats, or, when a certificate of the orbit
+    path fails and n <= MATRIX_PATH_MAX_N, from algebra_stats on the 2^n x 2^n
+    generators; above that such a failure raises BudgetError. The default
+    budget is n <= DEFAULT_MAX_N (12); up to LARGE_MAX_N (18) requires
+    allow_large.
     """
     limit = LARGE_MAX_N if allow_large else DEFAULT_MAX_N
     if n > limit:
         hint = "" if allow_large else f"; pass allow_large to permit n={LARGE_MAX_N}"
         raise BudgetError(f"n={n} exceeds the exact-computation budget ({limit}){hint}")
-    computed, computed_components = algebra_stats(family_generators(family, n))
+    result = orbit_stats(family, n)
+    if result is None:
+        if n > MATRIX_PATH_MAX_N:
+            raise BudgetError(f"a certificate of the orbit path failed at n={n}, and the "
+                              f"2^n matrix path is budgeted to n <= {MATRIX_PATH_MAX_N}")
+        result = algebra_stats(family_generators(family, n))
+    computed, computed_components = result
     predicted, comps = predicted_stats(family, n)
 
     comparison = AlgebraComparison(

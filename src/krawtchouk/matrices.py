@@ -50,11 +50,14 @@ class KrawtchoukMatrix:
                      for row in self.entries)
 
 
-# Bound on the memo. It holds one sweep's working set: verify --suite all
-# --max-n 12 with seven r builds 110 distinct (N, r). The suites scan their
-# levels cyclically, so an LRU smaller than the working set misses almost
-# every time (64 entries: 287 misses instead of 110).
-MEMO_SIZE = 256
+# Bound on the memo: the working set of the largest sweep the verify budgets
+# allow. The suites of verify --max-n N scan levels 0..N+1 for each of its r
+# and for r = 1, so cli.MAX_VERIFY_N = 24 and cli.MAX_R_VALUES = 20 make
+# (24 + 2) * (20 + 1) levels; the catalan suite's r = 1 levels N+2..2N+1 are
+# scanned by that suite alone. The suites scan their levels cyclically, so an
+# LRU smaller than the working set misses almost every time (at --max-n 12
+# with seven r, 110 levels: 64 entries gave 287 misses instead of 110).
+MEMO_SIZE = (24 + 2) * (20 + 1)
 
 
 def build_matrix(N: int, r) -> KrawtchoukMatrix:

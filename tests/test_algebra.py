@@ -26,7 +26,8 @@ from krawtchouk.algebra import (
     zeta_via_theorem,
 )
 from krawtchouk.combinatorics import binomial, catalan
-from krawtchouk.zeon import ZeonMatrix, op_T, op_Tstar, op_U
+from krawtchouk.orbits import OrbitBasis
+from krawtchouk.zeon import ZeonMatrix, layer, op_T, op_Tstar, op_U
 
 
 def identity_matrix(d):
@@ -149,9 +150,9 @@ def test_commutative_families_have_center_equal_to_algebra():
 
 def test_budget_enforced():
     with pytest.raises(BudgetError):
-        analyze_family(Family.U, 6)
-    with pytest.raises(BudgetError, match=r"budget \(6\)$"):
-        analyze_family(Family.U, 7, allow_large=True)
+        analyze_family(Family.U, 13)
+    with pytest.raises(BudgetError, match=r"budget \(18\)$"):
+        analyze_family(Family.U, 19, allow_large=True)
 
 
 def test_analyze_u_n4_matches_closed_forms():
@@ -419,12 +420,13 @@ def test_a_non_square_generator_is_refused():
 
 
 def test_a_block_dimension_that_is_not_a_square_falls_back(monkeypatch):
-    # one extra element in each block's closure makes d_i^2 + 1, never a square
+    # one extra element in each block's closure makes d_i^2 + 1, never a square;
+    # a block's closure starts from one element, the algebra's from I and the generators
     real = algebra._span_closure
 
-    def padded(d, gens, seed, cols=None):
-        basis = real(d, gens, seed, cols)
-        return basis + [{}] if cols is not None else basis
+    def padded(gens, seed, mul, vec):
+        basis = real(gens, seed, mul, vec)
+        return basis + [{}] if len(seed) == 1 else basis
 
     gens = family_generators(Family.T_TSTAR, 3)
     expected, comps = algebra_stats(gens)
@@ -432,3 +434,105 @@ def test_a_block_dimension_that_is_not_a_square_falls_back(monkeypatch):
     monkeypatch.setattr(algebra, "_span_closure", padded)
     assert algebra_stats(gens) == (expected, None)
     assert expected.zeta == catalan(3)
+
+
+# ---------------------------------------------------------------------------
+# the orbit path against explicit 2^n matrices and against algebra_stats
+# ---------------------------------------------------------------------------
+
+def orbit_matrix_by_definition(n, i, j, t):
+    """M[i, j, t]: 1 at (x, y) iff |x| = i, |y| = j and |x & y| = t, over bitmasks."""
+    return [[int(layer(x) == i and layer(y) == j and layer(x & y) == t)
+             for y in range(1 << n)] for x in range(1 << n)]
+
+
+def expand(orbits, vec):
+    """The 2^n x 2^n matrix of an orbit-basis vector, from the definition."""
+    size = 1 << orbits.n
+    out = [[0] * size for _ in range(size)]
+    for k, c in vec.items():
+        M = orbit_matrix_by_definition(orbits.n, *orbits.keys[k])
+        out = [[a + c * b for a, b in zip(r, m)] for r, m in zip(out, M)]
+    return out
+
+
+def test_orbit_keys_are_the_nonzero_orbit_matrices():
+    for n in range(1, 5):
+        orbits = OrbitBasis(n)
+        nonzero = [(i, j, t) for i in range(n + 1) for j in range(n + 1) for t in range(n + 1)
+                   if any(map(any, orbit_matrix_by_definition(n, i, j, t)))]
+        assert sorted(orbits.keys) == nonzero and len(nonzero) == binomial(n + 3, 3)
+
+
+ORBIT_VECTORS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    *[st.dictionaries(st.integers(0, binomial(n + 3, 3) - 1), st.integers(-3, 3).filter(bool),
+                      max_size=6)] * 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ORBIT_VECTORS)
+def test_orbit_arithmetic_agrees_with_explicit_matrices(case):
+    n, x, y = case
+    orbits = OrbitBasis(n)
+    X, Y = expand(orbits, x), expand(orbits, y)
+    assert expand(orbits, orbits.mul(x, y)) == _matmul(X, Y)
+    assert expand(orbits, orbits.transpose(x)) == [list(col) for col in zip(*X)]
+    assert orbits.trace(x) == sum(X[k][k] for k in range(1 << n))
+    assert orbits.row_sum_bound(x) == max(sum(map(abs, row)) for row in X)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_orbit_generators_are_the_family_generators(family):
+    for n in range(1, 5):
+        orbits = OrbitBasis(n)
+        expected = [_as_dense(g) for g in family_generators(family, n)]
+        assert [expand(orbits, g) for g in algebra._orbit_generators(orbits, family)] == expected
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_orbit_path_equals_the_matrix_path(family):
+    for n in range(1, 7):
+        stats, comps = algebra_stats(family_generators(family, n))
+        orbit_stats, orbit_comps = algebra.orbit_stats(family, n)
+        assert orbit_stats == stats, (family, n)
+        assert sorted(orbit_comps.components) == sorted(comps.components), (family, n)
+
+
+@pytest.mark.parametrize("family,n", [
+    (Family.T_TSTAR, 7), (Family.T_TSTAR, 8), (Family.T_TSTAR, 10),
+    (Family.TTSTAR_TSTART, 8), (Family.TTSTAR_TSTART, 10), (Family.U, 16),
+])
+def test_orbit_path_meets_the_closed_forms_beyond_the_matrix_path(family, n):
+    # n > MATRIX_PATH_MAX_N: a failed certificate raises BudgetError, with no fallback
+    comparison = analyze_family(family, n, allow_large=True)
+    predicted, comps = predicted_stats(family, n)
+    assert (comparison.computed.delta, comparison.computed.zeta) == (predicted.delta, predicted.zeta)
+    assert sorted(comparison.computed_components.components) == sorted(comps.components)
+    assert comparison.ok
+    if family is Family.TTSTAR_TSTART:
+        assert comparison.computed.z == comparison.computed.delta != predicted.z
+        assert any("stated z differs" in note for note in comparison.notes)
+    else:
+        assert comparison.computed.z == predicted.z
+
+
+TRACE = OrbitBasis.trace
+
+
+@pytest.mark.parametrize("name,broken", [
+    ("trace", lambda self, x: TRACE(self, x) + 1),  # the multiplicities fail
+    ("row_sum_bound", lambda self, x: 0),  # the integer roots fail
+], ids=["trace", "eigenvalue-bound"])
+@pytest.mark.parametrize("family", list(Family))
+def test_a_failing_orbit_certificate_falls_back_to_the_matrix_path(monkeypatch, name, broken,
+                                                                   family):
+    n = 4
+    expected = algebra_stats(family_generators(family, n))
+    monkeypatch.setattr(OrbitBasis, name, broken)
+    assert algebra.orbit_stats(family, n) is None
+    comparison = analyze_family(family, n)
+    assert (comparison.computed, comparison.computed_components) == expected
+    # above the matrix path's budget the failure is reported, not run for hours
+    with pytest.raises(BudgetError, match="certificate of the orbit path failed at n=7"):
+        analyze_family(family, algebra.MATRIX_PATH_MAX_N + 1)

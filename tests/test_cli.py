@@ -289,16 +289,16 @@ def test_algebra_check_exits_1_when_a_statistic_disagrees(capsys, monkeypatch):
 
 
 def test_algebra_budget_exceeded_exits_2(capsys):
-    code, out, err = run(capsys, "algebra", "--n", "6", "--family", "U")
+    code, out, err = run(capsys, "algebra", "--n", "13", "--family", "U")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "budget" in err
     assert "--allow-large" in err and "allow_large" not in err
 
 
 def test_algebra_large_budget_message_has_no_dangling_separator(capsys):
-    code, out, err = run(capsys, "algebra", "--n", "7", "--family", "T", "--allow-large")
+    code, out, err = run(capsys, "algebra", "--n", "19", "--family", "T", "--allow-large")
     assert code == 2 and out == ""
-    assert err == "error: --n 7 exceeds the budget (6)\n"
+    assert err == "error: --n 19 exceeds the budget (18)\n"
 
 
 def test_env_var_default_format(capsys, monkeypatch):
@@ -443,6 +443,23 @@ def test_an_r_inside_the_digit_budget_is_accepted(r, expected):
 # the number of r values: at most MAX_R_VALUES
 # ---------------------------------------------------------------------------
 
+def test_the_memo_holds_the_largest_verify_sweep(capsys, monkeypatch):
+    # the suites but catalan scan levels 0..N+1 for each r and for r = 1;
+    # catalan's higher r = 1 levels are scanned by that suite alone
+    assert matrices.MEMO_SIZE == (cli.MAX_VERIFY_N + 2) * (cli.MAX_R_VALUES + 1)
+    sizes = []
+
+    def clear():
+        sizes.append(matrices._expand.cache_info().currsize)
+        matrices.clear_memo()
+
+    matrices.clear_memo()
+    monkeypatch.setattr(cli, "clear_memo", clear)
+    suites = [arg for suite in cli.SUITES if suite != "catalan" for arg in ("--suite", suite)]
+    code, _, _ = run(capsys, "verify", *suites, "--max-n", "14", "--r", "3/7", "--r=-5/9")
+    assert code == 0 and sizes == [(14 + 2) * (2 + 1)]
+
+
 @pytest.mark.parametrize("count", [cli.MAX_R_VALUES, cli.MAX_R_VALUES + 1])
 def test_the_r_count_budget_is_checked_before_any_matrix(capsys, monkeypatch, count):
     assert 7 <= cli.MAX_R_VALUES == 20  # room for the default r list
@@ -467,9 +484,10 @@ def test_the_r_count_budget_is_checked_before_any_matrix(capsys, monkeypatch, co
 CALL_SECONDS = 30
 RATIONALS = ["1", "0", "-1", "2", "3/7", "-5/9", "1/2", "-2/3", "1.5", "-999/1000"]
 # bad tokens, bad rationals (zero and negative denominators) and sizes above
-# some budget: 161 for matrix, 25 for verify, 13 for zeon, 7 for algebra
+# some budget: 161 for matrix, 25 for verify, 13 for zeon and the default algebra
+# budget, 19 for algebra with --allow-large
 BAD_TOKENS = ["", "x", "--bogus", "-", "1.5.2", "0x10", "--n", "1/0", "0/0", "1/-2",
-              "-1/-2", "abc", "1//2", "/3", "-1", "0", "7", "13", "25", "161", "100000"]
+              "-1/-2", "abc", "1//2", "/3", "-1", "0", "13", "19", "25", "161", "100000"]
 
 
 def flag(name, values):
