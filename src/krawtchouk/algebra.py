@@ -489,9 +489,6 @@ def family_generators(family: Family, n: int):
 # the words in the generators is e_i A, of dimension d_i^2; mu_i = m_i d_i
 # comes from the traces of c's powers.
 
-ORBIT_TRIES = 32  # c = g1 + t g2 for t = 1..ORBIT_TRIES in a commutative family
-
-
 def _orbit_generators(orbits: OrbitBasis, family: Family) -> list[dict[int, int]]:
     """family_generators(family, n) as orbit-basis vectors."""
     n = orbits.n
@@ -514,23 +511,23 @@ def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | 
     basis = _span_closure(gens, [one] + gens, mul, dict)
     if all(mul(g, h) == mul(h, g) for i, g in enumerate(gens) for h in gens[i + 1:]):
         center = [{k: 1} for k in range(len(basis))]  # A is commutative
-        ts = range(1, ORBIT_TRIES + 1) if len(gens) > 1 else (1,)
-        candidates = (orbits.combine((t ** k, g) for k, g in enumerate(gens)) for t in ts)
+        # c = g1 + t g2 with t = 2B + 1, |eigenvalue of g1| <= B: two blocks with
+        # integer joint eigenvalues (l, m) != (l', m') give |l - l'| <= 2B < t |m - m'|
+        # when m != m', so their eigenvalues of c differ
+        t = 2 * orbits.row_sum_bound(gens[0]) + 1
+        c = orbits.combine((t ** k, g) for k, g in enumerate(gens))
     else:
         center = _commuting(gens, basis, mul, dict, orbits.size)
         s = orbits.combine((w * v, basis[k])
                            for w, element in enumerate(center, start=1) for k, v in element.items())
-        candidates = [orbits.combine([(1, s), (1, orbits.transpose(s))])]
+        c = orbits.combine([(1, s), (1, orbits.transpose(s))])
     z = len(center)
-    for c in candidates:
-        powers = [one]
-        while len(powers) <= z:
-            powers.append(mul(powers[-1], c))
-        minpolys = _relations(powers, orbits.size)
-        if len(minpolys) == 1 and max(minpolys[0]) == z:
-            break  # deg minpoly(c) = z: c separates the blocks
-    else:
-        return None
+    powers = [one]
+    while len(powers) <= z:
+        powers.append(mul(powers[-1], c))
+    minpolys = _relations(powers, orbits.size)
+    if len(minpolys) != 1 or max(minpolys[0]) != z:
+        return None  # deg minpoly(c) = z certifies that c separates the blocks
     roots = _integer_roots([minpolys[0].get(k, 0) for k in range(z + 1)],
                            orbits.row_sum_bound(c))
     if roots is None or len(roots) != z:

@@ -51,7 +51,8 @@ DEFAULT_R_LIST = [
 # Largest sizes the CLI accepts. The builder costs about N^3 operations (ints
 # at r = 1, rationals otherwise); twice the size at r != 1 takes minutes. On
 # a 2-core 3.11 host, matrix --n 160 takes 0.5 s at r = 1 and 11 s at r = 3/7;
-# verify --suite all --max-n 24 0.8 s at --r 3/7 --r 1, 2.2 s at the default r.
+# verify --suite all --max-n 24 0.5-0.75 s at --r 3/7 --r 1, 1.4-2.1 s at the
+# default r (whole process, on a host whose speed varies about 2x).
 MAX_MATRIX_N = 160
 MAX_VERIFY_N = 24
 # Most decimal digits in the numerator and in the denominator of an r; the
@@ -106,7 +107,9 @@ def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
     """All summation identities at one level N: the general-r theorem, its
     symmetric specialization, plain partial sums, the column-sum relation,
     and full row/column sums of squares. Each column is swept once per
-    identity, so a level costs O(N^2) rational operations per r."""
+    identity, so a level costs O(N^2) int operations per r. The general-r
+    sides come times a common scale and are compared in ints; Fractions are
+    formed only for a failure, divided back by record_scaled."""
     rep = IdentityReport(suite=f"sums N={N}")
     if N >= 1:
         general: dict[tuple, list] = {}  # (r, j) -> sweep; those at r = 1 are reused
@@ -117,8 +120,8 @@ def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
             M1 = build_matrix(N - 1, r)
             for j in range(N + 1):
                 general[r, j] = sweep_sum_squares_general(N, r, j, M, M1)
-                for m, (lhs, rhs) in enumerate(general[r, j]):
-                    rep.record(("thm-sqsum", r, j, m), lhs, rhs)
+                for m, (lhs, rhs, scale) in enumerate(general[r, j]):
+                    rep.record_scaled(("thm-sqsum", r, j, m), lhs, rhs, scale)
         Ms = build_matrix(N, 1)
         Ms1 = build_matrix(N - 1, 1)
         for j in range(N + 1):
@@ -126,7 +129,7 @@ def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
             at_1 = general.get((1, j)) or sweep_sum_squares_general(N, 1, j, Ms, Ms1)
             for m, (lhs, rhs) in enumerate(symmetric):
                 rep.record(("symm-sqsum", j, m), lhs, rhs)
-                rep.record(("symm-vs-general", j, m), (lhs, rhs), at_1[m])
+                rep.record(("symm-vs-general", j, m), (lhs, rhs), at_1[m][:2])
             # full-column weighted square sum vanishes by the sign symmetry
             rep.record(("full-column-zero", j), symmetric[N][0], 0)
         for j in range(2, N + 1):

@@ -1,8 +1,9 @@
 """Summation theorems and special-value closed forms for Krawtchouk matrices.
 
 All checks are exact; there are no tolerances. The sweeps run in ints, on
-the column-scaled matrices (``KrawtchoukMatrix.scaled``, the entries at r = 1);
-the general-r sweep divides out its power of q where it forms a prefix's pair.
+the column-scaled matrices (``KrawtchoukMatrix.scaled``, the entries at r = 1).
+The general-r sweep returns each prefix's two sides times a common int scale;
+a caller divides by it (``IdentityReport.record_scaled``) only on a mismatch.
 Where a term carries an explicitly zero coefficient (factor j = 0 or N-j = 0),
 the term is dropped before its matrix index is resolved. A degree index above
 the matrix size reads as 0: it asks for a coefficient beyond the polynomial's
@@ -37,8 +38,9 @@ def _levels(N: int, r, M: KrawtchoukMatrix | None, M1: KrawtchoukMatrix | None):
 def sweep_sum_squares_general(N: int, r, j: int,
                               M: KrawtchoukMatrix | None = None,
                               M1: KrawtchoukMatrix | None = None
-                              ) -> list[tuple[Fraction, Fraction]]:
-    """(lhs, rhs) of the general-r sum-of-squares theorem for every prefix m = 0..N.
+                              ) -> list[tuple[int, int, int]]:
+    """(lhs, rhs, scale) of the general-r sum-of-squares theorem for every prefix
+    m = 0..N: the theorem's two sides are lhs / scale and rhs / scale.
 
     Column j of the identity
 
@@ -48,8 +50,8 @@ def sweep_sum_squares_general(N: int, r, j: int,
 
     where phi is the level-N matrix and phi' the level-(N-1) matrix. One pass
     down the scaled columns carries both partial sums in ints times q^(2j),
-    r = p/q; each pair is divided back, with the tail factor (q-p)/(q+p), in
-    Fractions (ints at r = 1). Prebuilt matrices may be passed to amortize sweeps.
+    r = p/q; clearing the tail factor (q-p)/(q+p) makes the scale (q+p) q^(2j),
+    and 1 at r = 1. Prebuilt matrices may be passed to amortize sweeps.
     """
     if r == -1:
         raise ZeroDivisionError("the factor (1-r)/(1+r) is undefined at r = -1")
@@ -57,7 +59,10 @@ def sweep_sum_squares_general(N: int, r, j: int,
         raise ValueError(f"bad parameters N={N} j={j}")
     M, rows, prev = _levels(N, r, M, M1)
     p, q = M.r.numerator, M.r.denominator
-    pq, scale, ints = p * q, q ** (2 * j), type(M.r) is int  # r = 1: scale 1, no tail
+    pq = p * q
+    # at r = 1 (the int 1) the tail's factor q - p is 0 and nothing is scaled
+    s, t, scale = ((1, 0, 1) if type(M.r) is int
+                   else (q + p, (q - p) * j, (q + p) * q ** (2 * j)))
     lhs = tail = 0
     out = []
     for n in range(N + 1):
@@ -72,8 +77,7 @@ def sweep_sum_squares_general(N: int, r, j: int,
             w, y = rows[n][j - 1], prev[n][j - 1]
             tail += pq * (w * w) + sq
             rhs += pq * j * (y * y)
-        out.append((lhs, rhs) if ints else (
-            Fraction(lhs, scale), Fraction((q + p) * rhs + (q - p) * j * tail, (q + p) * scale)))
+        out.append((s * lhs, s * rhs + t * tail, scale))
     return out
 
 
@@ -150,8 +154,10 @@ def sweep_column_sum_relation(N: int, j: int,
 def sum_squares_general(N: int, r, j: int, m: int,
                         M: KrawtchoukMatrix | None = None,
                         M1: KrawtchoukMatrix | None = None) -> tuple[Fraction, Fraction]:
-    """Prefix m of ``sweep_sum_squares_general``: the general-r theorem's (lhs, rhs)."""
-    return _prefix(sweep_sum_squares_general(N, r, j, M, M1), N, j, m)
+    """Prefix m of ``sweep_sum_squares_general``: the general-r theorem's (lhs, rhs),
+    divided back by the scale (ints at r = 1)."""
+    lhs, rhs, scale = _prefix(sweep_sum_squares_general(N, r, j, M, M1), N, j, m)
+    return (lhs, rhs) if r == 1 else (Fraction(lhs, scale), Fraction(rhs, scale))
 
 
 def sum_squares_symmetric(N: int, j: int, m: int,

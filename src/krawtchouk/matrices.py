@@ -7,9 +7,11 @@ columns by evaluation point j.
 
 The symmetric case r = 1 is expanded in Python ints: its matrix stores r as
 the int 1 and every entry as an ``int``. For every other r, integral ones
-included, r and every entry are ``Fraction``s. The checks run in ints for
-every r, on ``KrawtchoukMatrix.scaled`` (column j times q^j, r = p/q) with
-each identity multiplied by a power of q; a failure is recorded divided back.
+included, r and every entry are ``Fraction``s. Every check compares ints:
+at r != 1 on ``KrawtchoukMatrix.scaled`` (column j times q^j, r = p/q) with
+each identity multiplied by a power of q, and at r = 1 with each quotient
+multiplied through by its denominator. Only a failure is divided back
+(``IdentityReport.record_scaled``), so it reads as rationals.
 
 Built matrices are memoized on (N, r): the identities relate neighbouring
 levels, so a verification sweep asks for the same level many times. The CLI
@@ -186,9 +188,9 @@ def closed_form_row1_col01(N: int) -> IdentityReport:
     for n in range(N + 2):
         diff = binomial(N, n) - binomial(N, n - 1)
         rep.record(("col1-diff", n), M1.entries[n][1], diff)
-        if N + 1 - n != 0:
-            quotient = Fraction(binomial(N, n) * (N + 1 - 2 * n), N + 1 - n)
-            rep.record(("col1-quotient", n), M1.entries[n][1], quotient)
+        if N + 1 - n != 0:  # K'[n][1] = C(N, n) (N+1-2n) / (N+1-n), times N+1-n
+            rep.record_scaled(("col1-quotient", n), (N + 1 - n) * M1.entries[n][1],
+                              binomial(N, n) * (N + 1 - 2 * n), N + 1 - n)
     return rep
 
 
@@ -199,10 +201,8 @@ def verify_binomial_conjugation(N: int) -> IdentityReport:
     B = binomial_diagonal(N)
     for i in range(N + 1):
         for j in range(N + 1):
-            rep.record(("PhiB-symm", i, j), M.entries[i][j] * B[j], M.entries[j][i] * B[i])
-            rep.record(
-                ("entrywise", i, j),
-                M.entries[j][i],
-                Fraction(B[j], B[i]) * M.entries[i][j],
-            )
+            ij, ji = M.entries[i][j] * B[j], M.entries[j][i] * B[i]
+            rep.record(("PhiB-symm", i, j), ij, ji)
+            # Phi[j][i] = B[j] / B[i] Phi[i][j], times B[i]
+            rep.record_scaled(("entrywise", i, j), ji, ij, B[i])
     return rep

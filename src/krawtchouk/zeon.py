@@ -27,6 +27,12 @@ def mat_mul(A: Rows, B: Rows) -> Rows:
     """The product A B."""
     out: Rows = {}
     for i, arow in A.items():
+        if len(arow) == 1:  # row k of B times a; nonzero ints have nonzero products
+            (k, a), = arow.items()
+            brow = B.get(k)
+            if brow:
+                out[i] = dict(brow) if a == 1 else {j: a * v for j, v in brow.items()}
+            continue
         acc: dict[int, int] = {}
         for k, av in arow.items():
             brow = B.get(k)

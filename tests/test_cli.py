@@ -374,7 +374,7 @@ def shifted_general_sweep(monkeypatch):
 
     def shifted(N, r, j, M=None, M1=None):
         out = sweep(N, r, j, M, M1)
-        return [(lhs + 1, rhs + 1) for lhs, rhs in out] if r == 1 else out
+        return [(lhs + 1, rhs + 1, scale) for lhs, rhs, scale in out] if r == 1 else out
 
     monkeypatch.setattr(cli, "sweep_sum_squares_general", shifted)
 
@@ -398,7 +398,8 @@ def test_mismatch_params_render_r_as_the_json_does(capsys, monkeypatch):
 
     def wrong(N, r, j, M=None, M1=None):
         out = sweep(N, r, j, M, M1)
-        return out if r == 1 else [(lhs + 1, rhs) for lhs, rhs in out]
+        # the theorem's lhs, lhs / scale, raised by one
+        return out if r == 1 else [(lhs + scale, rhs, scale) for lhs, rhs, scale in out]
 
     monkeypatch.setattr(cli, "sweep_sum_squares_general", wrong)
     argv = ["verify", "--suite", "sums", "--max-n", "1", "--r", "3/7"]

@@ -29,6 +29,9 @@ CORPUS = {
     "verify-sweep-seed3-json": ["verify", "--suite", "all", "--max-n", "12", "--r=0", "--r=1",
                                 "--r=-9/4", "--r=-3/2", "--r=-1/2", "--r=-8/3", "--r=-4/5",
                                 "--format", "json"],
+    "verify-sweep-seed23-json": ["verify", "--suite", "all", "--max-n", "12", "--r=0", "--r=1",
+                                 "--r=-4/3", "--r=5/8", "--r=4", "--r=6/7", "--r=-1/6",
+                                 "--format", "json"],
     "verify-inject-fault": ["verify", "--suite", "involution", "--max-n", "3",
                             "--inject-fault"],
     "matrix-pretty": ["matrix", "--n", "6", "--r", "3/7"],

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from krawtchouk import matrices
+from krawtchouk import cli, matrices
 from krawtchouk.cli import main
 from krawtchouk.combinatorics import binomial
 from krawtchouk.identities import (
@@ -268,6 +268,15 @@ def zr(*terms):
     return out
 
 
+def zr_mul(a, b):
+    """The product of two polynomials in r, as zr gives them; [] is 0."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def zr_level(N):
     """Level N in Z[r], rows [n][j]. Column 0 is the binomials C(N, n); column
@@ -300,6 +309,25 @@ def test_pascal_and_recurrence_hold_in_z_r_up_to_level_40():
                 rhs = zr((N - j, 0, row[j + 1] if j < N else []),
                          (j, 1, row[j - 1] if j else []))
                 assert lhs == rhs, ("recurrence", N, n, j)
+
+
+def test_general_sum_of_squares_holds_in_z_r_up_to_level_30():
+    # (1+r) sum_{n<=m} (N-2n) K[n][j]^2 = (1+r) [(N-j) K'[m][j]^2 + r j K'[m][j-1]^2]
+    #     + (1-r) j sum_{n<=m} (r K[n][j-1]^2 + K[n][j]^2), K' level N-1 and 0 in row N
+    for N in range(1, 31):
+        sq = [[zr_mul(v, v) for v in row] for row in zr_level(N)]
+        sq1 = [[zr_mul(v, v) for v in row] for row in zr_level(N - 1)] + [[[]] * N]
+        for j in range(N + 1):
+            lhs = tail = []
+            for m in range(N + 1):
+                lhs = zr((1, 0, lhs), (N - 2 * m, 0, sq[m][j]))
+                right = zr((j, 1, sq1[m][j - 1])) if j else []
+                if j < N:
+                    right = zr((1, 0, right), (N - j, 0, sq1[m][j]))
+                if j:
+                    tail = zr((1, 0, tail), (1, 1, sq[m][j - 1]), (1, 0, sq[m][j]))
+                assert zr((1, 0, lhs), (1, 1, lhs)) == zr(
+                    (1, 0, right), (1, 1, right), (j, 0, tail), (-j, 1, tail)), (N, j, m)
 
 
 def test_z_r_levels_evaluate_to_the_built_matrices():
@@ -463,17 +491,35 @@ def test_a_corrupted_scaled_entry_is_reported(data, N, r, delta):
 R37 = Fraction(3, 7)
 
 
+def corrupt(monkeypatch, level, r, cells):
+    """Make build_matrix, in matrices and in the CLI, return the matrix at (level, r)
+    with each entry [n][j] in cells raised by one."""
+    original = matrices.build_matrix
+    M = original(level, r)
+    entries = [list(row) for row in M.entries]
+    for n, j in cells:
+        entries[n][j] += 1
+    corrupted = matrices.KrawtchoukMatrix(N=level, r=M.r, entries=tuple(map(tuple, entries)))
+
+    def build(N, s):
+        return corrupted if (N, s) == (level, r) else original(N, s)
+
+    monkeypatch.setattr(matrices, "build_matrix", build)
+    monkeypatch.setattr(cli, "build_matrix", build)
+    return M
+
+
 @pytest.fixture
 def corrupted_level_3(monkeypatch):
     """Level 3 at r = 3/7 with entry [1][2] raised from 1/7 to 8/7."""
-    original = matrices.build_matrix
-    M = original(3, R37)
-    assert M.entries[1][2] == Fraction(1, 7)
-    entries = [list(row) for row in M.entries]
-    entries[1][2] += 1
-    corrupted = matrices.KrawtchoukMatrix(N=3, r=M.r, entries=tuple(map(tuple, entries)))
-    monkeypatch.setattr(matrices, "build_matrix",
-                        lambda N, r: corrupted if (N, r) == (3, R37) else original(N, r))
+    assert corrupt(monkeypatch, 3, R37, [(1, 2)]).entries[1][2] == Fraction(1, 7)
+
+
+@pytest.fixture
+def corrupted_symmetric_level_4(monkeypatch):
+    """Level 4 at r = 1 with entries [1][1] and [1][2] raised from 2 to 3 and 0 to 1."""
+    M = corrupt(monkeypatch, 4, 1, [(1, 1), (1, 2)])
+    assert (M.entries[1][1], M.entries[1][2]) == (2, 0)
 
 
 # Worked by hand from the columns (1+z)^(3-j) (1-3z/7)^j at level 3 and
@@ -494,11 +540,46 @@ RECURRENCE_3_FAILURES = [
 ]
 
 
+# The general sum of squares at N = 3, column j and prefix m:
+#   sum_{n<=m} (3-2n) K[n][j]^2
+#     = (3-j) K2[m][j]^2 + r j K2[m][j-1]^2 + (1-r)/(1+r) j sum_{n<=m} (r K[n][j-1]^2 + K[n][j]^2)
+# with (1-r)/(1+r) = 2/5, level 3 columns 1..3 (1, 11/7, 1/7, -3/7), (1, 8/7, -33/49, 9/49)
+# and (1, -9/7, 27/49, -27/343), level 2 columns 1, 2 (1, 4/7, -3/7), (1, -6/7, 9/49) and
+# row 3 of level 2 zero. Only columns j = 2 and 3 read K[1][2], from m = 1 on.
+THM_SQSUM_3_FAILURES = [
+    (("thm-sqsum", R37, 2, 1), 3 + Fraction(8, 7) ** 2,
+     Fraction(-6, 7) ** 2 + R37 * 2 * Fraction(4, 7) ** 2
+     + Fraction(2, 5) * 2 * (R37 + 1 + R37 * Fraction(11, 7) ** 2 + Fraction(8, 7) ** 2)),
+    (("thm-sqsum", R37, 2, 2), Fraction(9250, 2401), Fraction(43163, 12005)),
+    (("thm-sqsum", R37, 2, 3), Fraction(9007, 2401), Fraction(41948, 12005)),
+    (("thm-sqsum", R37, 3, 1), 3 + Fraction(-9, 7) ** 2,
+     R37 * 3 * Fraction(-6, 7) ** 2
+     + Fraction(2, 5) * 3 * (R37 + 1 + R37 * Fraction(8, 7) ** 2 + Fraction(-9, 7) ** 2)),
+    (("thm-sqsum", R37, 3, 2), Fraction(10443, 2401), Fraction(60153, 12005)),
+    (("thm-sqsum", R37, 3, 3), Fraction(509520, 117649), Fraction(2936562, 588245)),
+]
+# Level 4 at r = 1 has rows 1 and 2 (4, 2, 0, -2, -4) and (6, 0, -2, 0, 6); with [1][1] = 3
+# and [1][2] = 1, and B = (1, 4, 6, 4, 1). closed_form_row1_col01(3) reads column 1 of
+# level 4: K4[n][1] = C(3, n) - C(3, n-1) = C(3, n) (4-2n) / (4-n), 2 at n = 1.
+ROWS_COLS_3_FAILURES = [
+    (("col1-diff", 1), 3, 3 - 1),
+    (("col1-quotient", 1), 3, Fraction(3 * 2, 3)),
+]
+# Phi B symmetric, and Phi[j][i] = B[j] / B[i] Phi[i][j]
+CONJUGATION_4_FAILURES = [
+    (("PhiB-symm", 1, 2), 1 * 6, 0 * 4),
+    (("entrywise", 1, 2), 0, Fraction(6, 4) * 1),
+    (("PhiB-symm", 2, 1), 0 * 4, 1 * 6),
+    (("entrywise", 2, 1), 1, Fraction(4, 6) * 0),
+]
+
+
 def failure_triples(rep):
     return [(f.params, f.left, f.right) for f in rep.failures]
 
 
-def test_corrupted_entry_failures_read_as_rationals(corrupted_level_3):
+def test_corrupted_entry_failures_read_as_rationals(corrupted_level_3,
+                                                   corrupted_symmetric_level_4):
     pascal = verify_pascal(3, R37)
     assert pascal.failure_count == 4 and failure_triples(pascal) == PASCAL_3_FAILURES
     assert [f.left for f in pascal.failures] == [
@@ -511,9 +592,21 @@ def test_corrupted_entry_failures_read_as_rationals(corrupted_level_3):
         (Fraction(9, 49), Fraction(72, 49))]
     assert all(type(v) is Fraction for f in pascal.failures + recurrence.failures
                for v in (f.left, f.right))
+    sums = cli._t_sums(3, (R37,))
+    assert sums.failure_count == 6 and failure_triples(sums) == THM_SQSUM_3_FAILURES
+    assert [(f.left, f.right) for f in sums.failures[::3]] == [
+        (Fraction(211, 49), Fraction(992, 245)), (Fraction(228, 49), Fraction(186, 35))]
+    assert all(type(v) is Fraction for f in sums.failures for v in (f.left, f.right))
+    rows_cols = closed_form_row1_col01(3)
+    assert rows_cols.failure_count == 2 and failure_triples(rows_cols) == ROWS_COLS_3_FAILURES
+    conjugation = verify_binomial_conjugation(4)
+    assert conjugation.failure_count == 4
+    assert failure_triples(conjugation) == CONJUGATION_4_FAILURES
+    assert conjugation.failures[1].right == Fraction(3, 2)
 
 
-def test_corrupted_entry_failures_print_as_rationals(corrupted_level_3, capsys):
+def test_corrupted_entry_failures_print_as_rationals(corrupted_level_3,
+                                                    corrupted_symmetric_level_4, capsys):
     argv = ["verify", "--suite", "pascal", "--suite", "recurrence", "--max-n", "3",
             "--r", "3/7"]
     assert main(argv) == 1
@@ -537,3 +630,29 @@ def test_corrupted_entry_failures_print_as_rationals(corrupted_level_3, capsys):
                                              "left": "5/7", "right": "-2/7"}
     assert suites["recurrence N=3 r=3/7"][2] == {"params": ["1", "3"],
                                                  "left": "9/49", "right": "72/49"}
+    argv = ["verify", "--suite", "sums", "--suite", "rows-cols", "--suite", "conjugation",
+            "--max-n", "4", "--r", "3/7"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert ("sums N=3: 85 cases, FAIL (6)\n"
+            "  mismatch (thm-sqsum, 3/7, 2, 1): 211/49 != 992/245\n"
+            "  mismatch (thm-sqsum, 3/7, 2, 2): 9250/2401 != 43163/12005\n"
+            "  mismatch (thm-sqsum, 3/7, 2, 3): 9007/2401 != 41948/12005\n"
+            "  mismatch (thm-sqsum, 3/7, 3, 1): 228/49 != 186/35\n"
+            "  mismatch (thm-sqsum, 3/7, 3, 2): 10443/2401 != 60153/12005\n") in out
+    assert ("rows-cols N=3: 17 cases, FAIL (2)\n"
+            "  mismatch (col1-diff, 1): 3 != 2\n"
+            "  mismatch (col1-quotient, 1): 3 != 2\n") in out
+    assert ("conjugation N=4: 50 cases, FAIL (4)\n"
+            "  mismatch (PhiB-symm, 1, 2): 6 != 0\n"
+            "  mismatch (entrywise, 1, 2): 0 != 3/2\n"
+            "  mismatch (PhiB-symm, 2, 1): 0 != 6\n"
+            "  mismatch (entrywise, 2, 1): 1 != 0\n") in out
+    assert main(argv + ["--format", "json"]) == 1
+    suites = {s["suite"]: s["failures"] for s in json.loads(capsys.readouterr().out)["suites"]}
+    assert suites["sums N=3"][5] == {"params": ["thm-sqsum", "3/7", "3", "3"],
+                                     "left": "509520/117649", "right": "2936562/588245"}
+    assert suites["rows-cols N=3"][1] == {"params": ["col1-quotient", "1"],
+                                          "left": "3", "right": "2"}
+    assert suites["conjugation N=4"][1] == {"params": ["entrywise", "1", "2"],
+                                            "left": "0", "right": "3/2"}

@@ -151,6 +151,17 @@ def zeon_matrices(draw, count):
     return [ZeonMatrix(n, draw(entries)) for _ in range(count)]
 
 
+@st.composite
+def partial_permutations(draw, n):
+    """A ZeonMatrix with at most one term in each row and column: some rows of a
+    permutation matrix, each times a coefficient in -3..3 (0 drops the row) or a
+    large one."""
+    coefficient = st.one_of(st.integers(-3, 3), st.sampled_from([10**30 + 7, -(2**70)]))
+    columns = draw(st.permutations(range(1 << n)))
+    return ZeonMatrix(n, {(i, k): draw(coefficient) for i, k in enumerate(columns)
+                          if draw(st.booleans())})
+
+
 def keeps_invariant(rows: dict) -> bool:
     """No zero entry and no empty row."""
     return all(row and all(row.values()) for row in rows.values())
@@ -188,12 +199,16 @@ def test_kernel_laws(mats):
 
 
 @settings(max_examples=60, deadline=None)
-@given(zeon_matrices(2), st.integers(-3, 3), st.integers(-3, 3))
-def test_kernel_matches_dense_arithmetic(mats, a, b):
+@given(zeon_matrices(2), st.integers(-3, 3), st.integers(-3, 3), st.data())
+def test_kernel_matches_dense_arithmetic(mats, a, b, data):
     A, B = mats
-    dA, dB = dense(A.rows, A.size), dense(B.rows, B.size)
+    P = data.draw(partial_permutations(A.n))  # every row has one term or none
+    dA, dB, dP = (dense(M.rows, A.size) for M in (A, B, P))
     results = [
         (mat_mul(A.rows, B.rows), dense_mul(dA, dB)),
+        (mat_mul(P.rows, A.rows), dense_mul(dP, dA)),
+        (mat_mul(A.rows, P.rows), dense_mul(dA, dP)),
+        (mat_mul(P.rows, P.rows), dense_mul(dP, dP)),
         (combine([(a, A.rows), (b, B.rows)]),
          [[a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(dA, dB)]),
         (transpose(A.rows), [list(col) for col in zip(*dA)]),
