@@ -3,24 +3,23 @@
 For a set of integer (or rational) generator matrices this module computes
 the degree d, the dimension delta of the generated unital algebra A, the
 dimension zeta of its centralizer, and the dimension z of its center, all
-exactly over the rationals (fraction-free, on integers). If the generators
-commute, A is commutative and its center is all of A (z = delta) with no
-elimination; otherwise the center is the combinations of A's basis that
-commute with every generator. When the generator set is closed under
-transpose, zeta and the simple components come from the Wedderburn blocks
-of one central element c: its minimal polynomial from the Krylov sequence
-v, cv, ..., c^z v of d-vectors, and, when z = delta, its multiplicities from
-the traces of its powers. Otherwise, or when a certificate of that path
-fails, zeta comes from the same routine as the center, over the d^2 unit
-matrices.
+exactly over the rationals (fraction-free, on integers).
 
-The three operator families over the Boolean lattice are wired up here
-together with their closed-form predictions. Their generators commute with
-every permutation of the n coordinates, so analyze_family runs the same
-method in the S_n orbit basis (orbits.OrbitBasis): closure, center, c and
-its minimal polynomial on C(n+3, 3)-vectors instead of 2^n x 2^n matrices,
-with the block degrees d_i^2 = dim P_i(c) A. If a certificate of that path
-fails, it falls back to algebra_stats on the 2^n matrices for n <= 6.
+One method, _stats, runs in either of two rings: MatrixRing(d), the d x d
+matrices as rows of the sparse kernel, and orbits.OrbitBasis(n), the
+S_n-invariant 2^n x 2^n matrices as vectors over the C(n+3, 3) orbit
+matrices. The span closure gives A; z = delta if the generators commute,
+else the center is the combinations of A's basis that commute with every
+generator. For a generator set closed under transpose, one central element
+c gives the Wedderburn blocks: its minimal polynomial from I, c, ..., c^z,
+its integer roots, the multiplicities from the traces of its powers, and
+the block degrees d_i^2 = dim P_i(c) A.
+
+algebra_stats runs it on the matrices it is given and, when a certificate
+fails, takes zeta from the center's routine over the d^2 unit matrices.
+analyze_family runs it on the three operator families over the Boolean
+lattice in the orbit basis, with the 2^n matrices as the fallback for
+n <= 6, and compares the result with the closed-form predictions.
 """
 from __future__ import annotations
 
@@ -28,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 
 from .combinatorics import binomial, catalan
 from .matrices import build_matrix
@@ -107,14 +105,30 @@ def _as_rows(mat) -> tuple[int, dict[int, dict[int, int]]]:
     return d, {i: {j: int(v * denom) for j, v in r.items()} for i, r in rows.items()}
 
 
-def _identity_rows(d: int) -> dict:
-    return {i: {i: 1} for i in range(d)}
+class MatrixRing:
+    """d x d integer matrices as rows of the sparse kernel, with the operations
+    _stats needs; an element's vector is its row-major vectorization."""
 
+    mul = staticmethod(mat_mul)
+    combine = staticmethod(combine)
+    transpose = staticmethod(transpose)
 
-def _vectorize(d: int, rows: dict, cols: set[int] | None = None) -> dict[int, int]:
-    """Row-major vectorization, keeping only the columns in ``cols`` when given."""
-    return {i * d + j: v for i, row in rows.items() for j, v in row.items()
-            if cols is None or j in cols}
+    def __init__(self, d: int):
+        self.d = d
+        self.size = d * d  # the width of the vectors
+
+    def identity(self) -> dict:
+        return {i: {i: 1} for i in range(self.d)}
+
+    def vec(self, rows: dict) -> dict[int, int]:
+        return {i * self.d + j: v for i, row in rows.items() for j, v in row.items()}
+
+    def trace(self, rows: dict) -> int:
+        return sum(rows.get(i, {}).get(i, 0) for i in range(self.d))
+
+    def row_sum_bound(self, rows: dict) -> int:
+        """The largest absolute row sum, a bound on |eigenvalue|."""
+        return max((sum(map(abs, row.values())) for row in rows.values()), default=0)
 
 
 class ExactEchelon:
@@ -181,22 +195,21 @@ def _prepare(generators) -> tuple[int, list[dict]]:
     return d, [rows for _, rows in sizes_rows]
 
 
-def _span_closure(gens: list, seed: list, mul, vec) -> list:
-    """Basis of the span of seed * words in gens, where mul(a, b) is the
-    product and vec(a) the {column: value} vector that the echelon sees."""
+def _span_closure(ring, gens: list, seed: list) -> list:
+    """Basis of the span of seed * words in gens, multiplied in ring."""
     ech = ExactEchelon()
     basis: list = []
     frontier: list = []
     for m in seed:
-        if ech.insert(vec(m)):
+        if ech.insert(ring.vec(m)):
             basis.append(m)
             frontier.append(m)
     while frontier:
         fresh: list = []
         for m in frontier:
             for g in gens:
-                prod = mul(m, g)
-                if ech.insert(vec(prod)):
+                prod = ring.mul(m, g)
+                if ech.insert(ring.vec(prod)):
                     basis.append(prod)
                     fresh.append(prod)
         frontier = fresh
@@ -207,38 +220,39 @@ def span_closure_dimension(generators) -> int:
     """Dimension of the unital algebra generated by the given matrices: the span
     of the identity and the generators, each times every word in the generators."""
     d, gens = _prepare(generators)
-    return len(_span_closure(gens, [_identity_rows(d)] + gens, mat_mul, partial(_vectorize, d)))
+    ring = MatrixRing(d)
+    return len(_span_closure(ring, gens, [ring.identity()] + gens))
 
 
 def centralizer_dimension(generators) -> int:
     """Dimension of the space of matrices commuting with every generator."""
     d, gens = _prepare(generators)
     units = ({k: {l: 1}} for k in range(d) for l in range(d))
-    return len(_commuting(gens, units, mat_mul, partial(_vectorize, d), d * d))
+    return len(_commuting(MatrixRing(d), gens, units))
 
 
 def center_dimension(generators) -> int:
     """Dimension of the center: algebra elements commuting with all generators."""
     d, gens = _prepare(generators)
-    vec = partial(_vectorize, d)
-    basis = _span_closure(gens, [_identity_rows(d)] + gens, mat_mul, vec)
-    return len(_commuting(gens, basis, mat_mul, vec, d * d))
+    ring = MatrixRing(d)
+    return len(_commuting(ring, gens, _span_closure(ring, gens, [ring.identity()] + gens)))
 
 
-def _commuting(gens: list, elements, mul, vec, width: int) -> list[dict[int, int]]:
+def _commuting(ring, gens: list, elements) -> list[dict[int, int]]:
     """The combinations of ``elements`` that commute with every generator, as
     coefficient vectors {k: x_k}: over the unit matrices they span the
-    centralizer, over an algebra basis the center. mul and vec are as in
-    _span_closure, and every vector has its columns below ``width``.
+    centralizer, over an algebra basis the center.
 
     One tagged echelon pass over the commutators [b_k, g] of every element
     with every generator; the relations among them are the answer.
     """
+    width = ring.size
+
     def commutators(b):
         out: dict[int, int] = {}
         for idx, g in enumerate(gens):
-            for sign, prod in ((1, mul(b, g)), (-1, mul(g, b))):
-                for c, v in vec(prod).items():
+            for sign, prod in ((1, ring.mul(b, g)), (-1, ring.mul(g, b))):
+                for c, v in ring.vec(prod).items():
                     out[idx * width + c] = out.get(idx * width + c, 0) + sign * v
         return out
 
@@ -251,15 +265,16 @@ def _commuting(gens: list, elements, mul, vec, width: int) -> list[dict[int, int
 #
 # A generator set closed under transpose generates a *-algebra A, which is
 # semisimple: A = sum_i M_{d_i}, the i-th block acting on V = Q^d with
-# multiplicity m_i. Every central element acts as a scalar lambda_i on block
-# i. If c = s + s^T (central and symmetric, so its eigenvalues are real) has
-# z distinct eigenvalues, all rational, they separate the z blocks: the
-# lambda_i-eigenspace W_i of c on V has dimension m_i d_i, and A restricted
-# to W_i is the block M_{d_i}, of dimension d_i^2. Then zeta = sum m_i^2.
+# multiplicity m_i. Every central element c acts as a scalar lambda_i on the
+# mu_i = m_i d_i dimensions of block i, so tr c^k = sum_i mu_i lambda_i^k. If
+# c's minimal polynomial has degree z and z integer roots, c separates the z
+# blocks: P_i(c) (from _lagrange) is a nonzero multiple of block i's central
+# idempotent e_i, and the span of P_i(c) times the words in the generators
+# is e_i A, of dimension d_i^2. Then zeta = sum m_i^2.
 
 def _roots_above(poly: list[int], a: int) -> int:
-    """Roots of poly (coefficients low to high) above a, counted by Descartes'
-    rule of signs on poly(x + a); exact because every root is real."""
+    """The sign variations of poly(x + a), coefficients low to high: by
+    Descartes' rule, the number of roots above a plus an even number."""
     q = list(poly)
     for i in range(len(q) - 1):  # Taylor shift by a, in place
         for k in range(len(q) - 2, i - 1, -1):
@@ -269,11 +284,15 @@ def _roots_above(poly: list[int], a: int) -> int:
 
 
 def _integer_roots(poly: list[int], bound: int) -> list[int] | None:
-    """The roots in [-bound, bound] of a real-rooted squarefree polynomial,
-    ascending, or None if one of them is not an integer.
+    """Integer roots in [-bound, bound] of a squarefree polynomial, ascending,
+    or None if a real root there is not an integer.
 
-    Bisects integer intervals (lo, hi] until each holds at most one root; a
-    root alone in (hi - 1, hi] is an integer iff it is hi.
+    Bisects integer intervals (lo, hi] on V(a) = _roots_above(poly, a). By
+    Budan's theorem V(lo) - V(hi) is the number of roots in (lo, hi] plus an
+    even number: 0 means no root, and on a unit interval 1 means one root,
+    an integer iff it is hi, which evaluation checks; a larger count there is
+    refused. A pair of complex roots need not show, so the list holds every
+    root only if its length is the degree.
     """
     roots: list[int] = []
     stack = [(-bound - 1, bound, _roots_above(poly, -bound - 1), _roots_above(poly, bound))]
@@ -290,20 +309,6 @@ def _integer_roots(poly: list[int], bound: int) -> list[int] | None:
         above_mid = _roots_above(poly, mid)
         stack += [(mid, hi, above_mid, above_hi), (lo, mid, above_lo, above_mid)]
     return roots
-
-
-def _start_vector(d: int) -> dict:
-    """The Krylov start v as a d x 1 matrix: integer entries with no linear
-    pattern, so that v is rarely orthogonal to one of c's eigenspaces."""
-    return {i: {0: w} for i in range(d) if (w := pow(i + 2, 7, 1009) - 504)}
-
-
-def _krylov(start: dict, c: dict, count: int) -> list[dict]:
-    """start, c start, ..., c^(count - 1) start."""
-    out = [start]
-    while len(out) < count:
-        out.append(mat_mul(c, out[-1]))
-    return out
 
 
 def _lagrange(roots: list[int], lam: int) -> list[int]:
@@ -330,68 +335,65 @@ def _multiplicities(roots: list[int], traces: list[int]) -> list[int] | None:
     return mus
 
 
-def _wedderburn_components(d: int, gens: list[dict], basis: list[dict],
-                           center: list[dict[int, int]]) -> ComponentSpec | None:
-    """The (m_i, d_i) blocks of the algebra, one per eigenvalue of a central
-    c = s + s^T; None when a certificate of that decomposition fails."""
-    if any(transpose(g) not in gens for g in gens):
-        return None  # not a *-algebra: semisimplicity is not guaranteed
-    z, delta = len(center), len(basis)
-    s = combine((w * v, basis[k])
-                for w, element in enumerate(center, start=1) for k, v in element.items())
-    c = combine([(1, s), (1, transpose(s))])
-    # deg minpoly(c) <= z, since c lies in the z-dimensional center: a single
-    # relation of degree z among v, cv, ..., c^z v is c's minimal polynomial
-    minpolys = _relations((_vectorize(1, v) for v in _krylov(_start_vector(d), c, z + 1)), d)
-    powers = None
-    if len(minpolys) != 1 or max(minpolys[0]) != z:
-        powers = _krylov(_identity_rows(d), c, z + 1)
-        minpolys = _relations((_vectorize(d, p) for p in powers), d * d)
-        if len(minpolys) != 1:
-            return None  # deg minpoly < z: c does not separate the blocks
-    poly = [minpolys[0].get(k, 0) for k in range(z + 1)]
-    bound = max((sum(map(abs, row.values())) for row in c.values()), default=0)
-    roots = _integer_roots(poly, bound)  # |eigenvalue| <= max row sum
+def _stats(ring, gens: list, d: int) -> tuple[int, int, ComponentSpec | None]:
+    """(delta, z, components) of the unital algebra that gens generate in ring,
+    whose elements are d x d matrices; the components are None when a
+    certificate of the Wedderburn blocks fails. d is not read from ring.trace,
+    so sum m_i d_i = d checks the traces."""
+    one = ring.identity()
+    basis = _span_closure(ring, gens, [one] + gens)
+    delta = len(basis)
+    if all(ring.mul(g, h) == ring.mul(h, g) for i, g in enumerate(gens) for h in gens[i + 1:]):
+        z = delta  # A is commutative: its center is all of A
+        # c = sum_k t^k g_k with t = 2B + 1, |eigenvalue of g_k| <= B: blocks with
+        # integer joint eigenvalues are the base-t numbers with digits in [-B, B],
+        # so two blocks with different ones take different eigenvalues of c
+        t = 2 * max(map(ring.row_sum_bound, gens)) + 1
+        c = ring.combine((t ** k, g) for k, g in enumerate(gens))
+    else:
+        center = _commuting(ring, gens, basis)
+        z = len(center)
+        s = ring.combine((w * v, basis[k])
+                         for w, element in enumerate(center, start=1) for k, v in element.items())
+        c = ring.combine([(1, s), (1, ring.transpose(s))])
+    if any(ring.transpose(g) not in gens for g in gens):
+        return delta, z, None  # not a *-algebra: semisimplicity is not guaranteed
+    powers = [one]
+    while len(powers) <= z:
+        powers.append(ring.mul(powers[-1], c))
+    # deg minpoly(c) <= z, since c lies in the z-dimensional center; one
+    # relation among I, c, ..., c^z means degree z: c separates the blocks
+    minpolys = _relations(map(ring.vec, powers), ring.size)
+    if len(minpolys) != 1:
+        return delta, z, None
+    roots = _integer_roots([minpolys[0].get(k, 0) for k in range(z + 1)], ring.row_sum_bound(c))
     if roots is None or len(roots) != z:
-        return None  # the center does not split over Q
+        return delta, z, None  # the center does not split over Q
+    mus = _multiplicities(roots, [ring.trace(p) for p in powers[:z]])
+    if mus is None:
+        return delta, z, None
     if z == delta:
-        # commutative: every block is 1 x 1, and c is symmetric, so m_i is the
-        # multiplicity of lambda_i, which the traces of I, c, ..., c^(z-1) fix
-        powers = powers or _krylov(_identity_rows(d), c, z)
-        traces = [sum(p.get(i, {}).get(i, 0) for i in range(d)) for p in powers[:z]]
-        mus = _multiplicities(roots, traces)
-        return None if mus is None else ComponentSpec(tuple((m, 1) for m in mus))
-    comps = []
-    for lam in roots:
-        shifted = combine([(1, c), (-lam, _identity_rows(d))])
-        # c is symmetric, so its kernel is the relations among its rows
-        kernel = _relations((shifted.get(i, {}) for i in range(d)), d)
-        # rows of W^T * word lie in W_i, where an echelon basis is fixed
-        # by its entries at the leads; the span of the words is A on W_i
-        leads = {min(v) for v in kernel}
-        block_dim = len(_span_closure(gens, [dict(enumerate(kernel))], mat_mul,
-                                      partial(_vectorize, d, cols=leads)))
-        block = math.isqrt(block_dim)
-        if block * block != block_dim or len(kernel) % block:
-            return None
-        comps.append((len(kernel) // block, block))
+        comps = [(mu, 1) for mu in mus]  # A is commutative: every block is 1 x 1
+    else:
+        comps = []
+        for lam, mu in zip(roots, mus):
+            ideal = ring.combine(zip(_lagrange(roots, lam), powers))
+            block_dim = len(_span_closure(ring, gens, [ideal]))
+            block = math.isqrt(block_dim)
+            if block * block != block_dim or mu % block:
+                return delta, z, None
+            comps.append((mu // block, block))
     spec = ComponentSpec(tuple(comps))
-    return spec if spec.degree_sum == d and spec.dimension == delta else None
+    return delta, z, spec if spec.degree_sum == d and spec.dimension == delta else None
 
 
 def algebra_stats(generators) -> tuple[AlgebraStats, ComponentSpec | None]:
     """(d, delta, zeta, z) of the generated unital algebra, and its computed
     components, or None for them when zeta came from the unit-matrix fallback."""
     d, gens = _prepare(generators)
-    vec = partial(_vectorize, d)
-    basis = _span_closure(gens, [_identity_rows(d)] + gens, mat_mul, vec)
-    if all(mat_mul(g, h) == mat_mul(h, g) for i, g in enumerate(gens) for h in gens[i + 1:]):
-        center = [{k: 1} for k in range(len(basis))]  # commuting generators: A is commutative
-    else:
-        center = _commuting(gens, basis, mat_mul, vec, d * d)
-    comps = _wedderburn_components(d, gens, basis, center)
+    delta, z, comps = _stats(MatrixRing(d), gens, d)
     zeta = comps.centralizer_dim if comps else centralizer_dimension(generators)
-    return AlgebraStats(d=d, delta=len(basis), zeta=zeta, z=len(center)), comps
+    return AlgebraStats(d=d, delta=delta, zeta=zeta, z=z), comps
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +485,6 @@ def family_generators(family: Family, n: int):
     raise ValueError(f"unknown family {family!r}")
 
 
-# The orbit path. Each family's generator set is closed under transpose, so
-# A is semisimple, as _wedderburn_components requires. P_i(c) is a nonzero
-# multiple of block i's central idempotent e_i, so the span of P_i(c) times
-# the words in the generators is e_i A, of dimension d_i^2; mu_i = m_i d_i
-# comes from the traces of c's powers.
-
 def _orbit_generators(orbits: OrbitBasis, family: Family) -> list[dict[int, int]]:
     """family_generators(family, n) as orbit-basis vectors."""
     n = orbits.n
@@ -505,48 +501,10 @@ def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | 
     """algebra_stats(family_generators(family, n)), computed in the S_n orbit
     basis; None when a certificate fails."""
     orbits = OrbitBasis(n)
-    mul, one = orbits.mul, orbits.identity()
-    gens = _orbit_generators(orbits, family)
-    # an orbit-basis element is its own coordinate vector
-    basis = _span_closure(gens, [one] + gens, mul, dict)
-    if all(mul(g, h) == mul(h, g) for i, g in enumerate(gens) for h in gens[i + 1:]):
-        center = [{k: 1} for k in range(len(basis))]  # A is commutative
-        # c = g1 + t g2 with t = 2B + 1, |eigenvalue of g1| <= B: two blocks with
-        # integer joint eigenvalues (l, m) != (l', m') give |l - l'| <= 2B < t |m - m'|
-        # when m != m', so their eigenvalues of c differ
-        t = 2 * orbits.row_sum_bound(gens[0]) + 1
-        c = orbits.combine((t ** k, g) for k, g in enumerate(gens))
-    else:
-        center = _commuting(gens, basis, mul, dict, orbits.size)
-        s = orbits.combine((w * v, basis[k])
-                           for w, element in enumerate(center, start=1) for k, v in element.items())
-        c = orbits.combine([(1, s), (1, orbits.transpose(s))])
-    z = len(center)
-    powers = [one]
-    while len(powers) <= z:
-        powers.append(mul(powers[-1], c))
-    minpolys = _relations(powers, orbits.size)
-    if len(minpolys) != 1 or max(minpolys[0]) != z:
-        return None  # deg minpoly(c) = z certifies that c separates the blocks
-    roots = _integer_roots([minpolys[0].get(k, 0) for k in range(z + 1)],
-                           orbits.row_sum_bound(c))
-    if roots is None or len(roots) != z:
+    delta, z, comps = _stats(orbits, _orbit_generators(orbits, family), 1 << n)
+    if comps is None:
         return None
-    mus = _multiplicities(roots, [orbits.trace(p) for p in powers[:z]])
-    if mus is None:
-        return None
-    comps = []
-    for lam, mu in zip(roots, mus):
-        ideal = orbits.combine(zip(_lagrange(roots, lam), powers))
-        block_dim = len(_span_closure(gens, [ideal], mul, dict))
-        block = math.isqrt(block_dim)
-        if block * block != block_dim or mu % block:
-            return None
-        comps.append((mu // block, block))
-    spec = ComponentSpec(tuple(comps))
-    if spec.degree_sum != 1 << n or spec.dimension != len(basis):
-        return None
-    return AlgebraStats(d=1 << n, delta=len(basis), zeta=spec.centralizer_dim, z=z), spec
+    return AlgebraStats(d=1 << n, delta=delta, zeta=comps.centralizer_dim, z=z), comps
 
 
 @dataclass

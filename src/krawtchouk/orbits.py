@@ -7,7 +7,7 @@ of the orbit matrices M[i, j, t]: the 0/1 matrix with a 1 at (x, y) iff
 span the Terwilliger algebra of the hypercube (J. T. Go, Europ. J. Combin. 23,
 2002; A. Schrijver, IEEE Trans. Inf. Theory 51, 2005). An element is a vector
 {k: coefficient} over the keys (i, j, t) of one OrbitBasis, with no zero
-coefficient; every method returns a new vector and mutates no argument.
+coefficient; no method mutates an argument, and only vec returns one.
 """
 from __future__ import annotations
 
@@ -76,6 +76,10 @@ class OrbitBasis:
                 for r, v in prod.items():
                     out[r] = out.get(r, 0) + ab * v
         return {r: v for r, v in out.items() if v}
+
+    def vec(self, x: dict[int, int]) -> dict[int, int]:
+        """The coordinate vector of x: x itself, not a copy."""
+        return x
 
     def transpose(self, x: dict[int, int]) -> dict[int, int]:
         """M[i, j, t] transposed is M[j, i, t]."""

@@ -13,6 +13,7 @@ from krawtchouk.algebra import (
     BudgetError,
     ComponentSpec,
     Family,
+    MatrixRing,
     algebra_stats,
     analyze_family,
     center_dimension,
@@ -356,17 +357,14 @@ def test_algebra_stats_leaves_zeon_generators_unchanged(gens):
 
 
 # ---------------------------------------------------------------------------
-# the shortcuts of algebra_stats: commuting generators, the Krylov minimal
-# polynomial and the multiplicities from traces
+# the shortcuts of algebra_stats: commuting generators and the
+# multiplicities from traces
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
-@given(M=SMALL_MATRIX, diagonal=st.booleans())
-def test_commuting_generators_skip_the_center_pass(M, diagonal):
-    d = len(M)
-    S = [[M[i][j] + M[j][i] if i == j or not diagonal else 0 for j in range(d)] for i in range(d)]
-    square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*S)] for row in S]
-    gens = [S, [[x - 2 * y for x, y in zip(r2, r)] for r2, r in zip(square, S)]]  # S, S^2 - 2S
+def assert_commuting_path(gens):
+    """algebra_stats on commuting generators runs no center pass outside the
+    unit-matrix fallback and gives the values of the definitions; returns the
+    components."""
     calls = []
     real = algebra._commuting
     with mock.patch.object(algebra, "_commuting", lambda *args: calls.append(1) or real(*args)):
@@ -377,10 +375,36 @@ def test_commuting_generators_skip_the_center_pass(M, diagonal):
     assert stats.zeta == centralizer_by_definition(gens)
     if comps is not None:
         assert comps.count == stats.z and comps.centralizer_dim == stats.zeta
-        assert comps.degree_sum == d and all(block == 1 for _, block in comps.components)
-        if diagonal:  # the blocks are the eigenspaces of S
-            assert sorted(m for m, _ in comps.components) == sorted(
-                Counter(S[i][i] for i in range(d)).values())
+        assert comps.degree_sum == stats.d and all(block == 1 for _, block in comps.components)
+    return comps
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=SMALL_MATRIX, diagonal=st.booleans())
+def test_commuting_generators_skip_the_center_pass(M, diagonal):
+    d = len(M)
+    S = [[M[i][j] + M[j][i] if i == j or not diagonal else 0 for j in range(d)] for i in range(d)]
+    square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*S)] for row in S]
+    gens = [S, [[x - 2 * y for x, y in zip(r2, r)] for r2, r in zip(square, S)]]  # S, S^2 - 2S
+    comps = assert_commuting_path(gens)
+    if comps is not None and diagonal:  # the blocks are the eigenspaces of S
+        assert sorted(m for m, _ in comps.components) == sorted(
+            Counter(S[i][i] for i in range(d)).values())
+
+
+@pytest.mark.parametrize("diagonals", [
+    [(0, 0, 1), (3, 0, 0), (0, 1, 0)],
+    [(0, 0, 1, 1), (3, 0, 0, 0), (0, 1, 0, 0)],
+], ids=["three-blocks", "a-repeated-joint-eigenvalue"])
+def test_commuting_generators_separate_every_joint_eigenvalue(diagonals):
+    # c = g1 + t g2 + t^2 g3 needs t above twice the largest bound over all the
+    # generators: with g1's bound alone t = 3 and c = diag(9, 9, 1, ...)
+    d = len(diagonals[0])
+    gens = [[[v if i == j else 0 for j in range(d)] for i, v in enumerate(diag)]
+            for diag in diagonals]
+    comps = assert_commuting_path(gens)
+    assert comps is not None
+    assert sorted(m for m, _ in comps.components) == sorted(Counter(zip(*diagonals)).values())
 
 
 def test_multiplicities_solve_the_trace_system_or_refuse():
@@ -396,22 +420,6 @@ def test_multiplicities_solve_the_trace_system_or_refuse():
     assert algebra._multiplicities(roots, shifted) is None  # not integral
 
 
-@pytest.mark.parametrize("start", [{}, {0: {0: 1}}], ids=["zero", "first-unit-vector"])
-def test_a_failing_krylov_start_falls_back_to_the_powers_of_c(monkeypatch, start):
-    expected = {(family, n): algebra_stats(family_generators(family, n))
-                for family in Family for n in range(2, 5)}
-    real, calls = algebra._krylov, []
-    monkeypatch.setattr(algebra, "_start_vector", lambda d: start)
-    monkeypatch.setattr(algebra, "_krylov",
-                        lambda v, c, count: calls.append((v is start, count)) or real(v, c, count))
-    for (family, n), (stats, comps) in expected.items():
-        calls.clear()
-        assert comps is not None
-        assert algebra_stats(family_generators(family, n)) == (stats, comps), (family, n)
-        # v's sequence is refused; one sequence I, c, ..., c^z serves the traces too
-        assert calls == [(True, stats.z + 1), (False, stats.z + 1)], (family, n)
-
-
 def test_a_non_square_generator_is_refused():
     with pytest.raises(ValueError, match="square"):
         algebra_stats([[[1, 2]]])
@@ -424,15 +432,18 @@ def test_a_block_dimension_that_is_not_a_square_falls_back(monkeypatch):
     # a block's closure starts from one element, the algebra's from I and the generators
     real = algebra._span_closure
 
-    def padded(gens, seed, mul, vec):
-        basis = real(gens, seed, mul, vec)
+    def padded(ring, gens, seed):
+        basis = real(ring, gens, seed)
         return basis + [{}] if len(seed) == 1 else basis
 
     gens = family_generators(Family.T_TSTAR, 3)
     expected, comps = algebra_stats(gens)
-    assert comps is not None
+    assert comps is not None and algebra.orbit_stats(Family.T_TSTAR, 3) is not None
     monkeypatch.setattr(algebra, "_span_closure", padded)
-    assert algebra_stats(gens) == (expected, None)
+    padded_paths = (algebra_stats(gens), algebra.orbit_stats(Family.T_TSTAR, 3))
+    assert padded_paths == ((expected, None), None)  # the 2^n and the orbit path
+    comparison = analyze_family(Family.T_TSTAR, 3)  # the 2^n fallback, padded too
+    assert (comparison.computed, comparison.computed_components) == (expected, None)
     assert expected.zeta == catalan(3)
 
 
@@ -456,6 +467,12 @@ def expand(orbits, vec):
     return out
 
 
+def kernel_rows(X):
+    """A dense matrix as rows of the sparse kernel: no zero entry, no empty row."""
+    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(X)}
+    return {i: row for i, row in rows.items() if row}
+
+
 def test_orbit_keys_are_the_nonzero_orbit_matrices():
     for n in range(1, 5):
         orbits = OrbitBasis(n)
@@ -473,13 +490,22 @@ ORBIT_VECTORS = st.integers(1, 4).flatmap(lambda n: st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(case=ORBIT_VECTORS)
 def test_orbit_arithmetic_agrees_with_explicit_matrices(case):
+    # both rings of the Wedderburn method: the orbit vectors, and MatrixRing
+    # on the kernel rows of their 2^n x 2^n expansions
     n, x, y = case
     orbits = OrbitBasis(n)
     X, Y = expand(orbits, x), expand(orbits, y)
-    assert expand(orbits, orbits.mul(x, y)) == _matmul(X, Y)
-    assert expand(orbits, orbits.transpose(x)) == [list(col) for col in zip(*X)]
-    assert orbits.trace(x) == sum(X[k][k] for k in range(1 << n))
-    assert orbits.row_sum_bound(x) == max(sum(map(abs, row)) for row in X)
+    XY, Xt = _matmul(X, Y), [list(col) for col in zip(*X)]
+    trace = sum(X[k][k] for k in range(1 << n))
+    bound = max(sum(map(abs, row)) for row in X)
+    assert expand(orbits, orbits.mul(x, y)) == XY
+    assert expand(orbits, orbits.transpose(x)) == Xt
+    assert (orbits.trace(x), orbits.row_sum_bound(x)) == (trace, bound)
+    ring, xr, yr = MatrixRing(1 << n), kernel_rows(X), kernel_rows(Y)
+    assert ring.mul(xr, yr) == kernel_rows(XY)
+    assert ring.transpose(xr) == kernel_rows(Xt)
+    assert (ring.trace(xr), ring.row_sum_bound(xr)) == (trace, bound)
+    assert ring.vec(xr) == {k: v for k, v in enumerate(sum(X, [])) if v}
 
 
 @pytest.mark.parametrize("family", list(Family))
