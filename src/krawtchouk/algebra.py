@@ -24,14 +24,13 @@ n <= 6, and compares the result with the closed-form predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .combinatorics import binomial, catalan
 from .matrices import build_matrix
 from .orbits import OrbitBasis
-from .report import IdentityReport
+from .report import FrozenRecord, IdentityReport, Record
 from .zeon import ZeonMatrix, combine, mat_mul, op_T, op_Tstar, op_U, transpose
 
 DEFAULT_MAX_N = 12
@@ -49,19 +48,14 @@ class Family(Enum):
     TTSTAR_TSTART = "TT"
 
 
-@dataclass(frozen=True)
-class AlgebraStats:
-    d: int
-    delta: int
-    zeta: int
-    z: int
+class AlgebraStats(FrozenRecord):
+    FIELDS = ("d", "delta", "zeta", "z")
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(FrozenRecord):
     """Multiset of (multiplicity, degree) pairs of a matrix-algebra decomposition."""
 
-    components: tuple[tuple[int, int], ...]
+    FIELDS = ("components",)
 
     @property
     def degree_sum(self) -> int:
@@ -415,13 +409,9 @@ def predicted_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec
         comps = tuple((binomial(n, i), 1) for i in range(n + 1))
         return stats, ComponentSpec(comps)
     if family is Family.T_TSTAR:
-        comps = tuple(
-            (binomial(n, a) - binomial(n, a - 1), n + 1 - 2 * a)
-            for a in range(n // 2 + 1)
-        )
-        stats = AlgebraStats(
-            d=d, delta=binomial(n + 3, 3), zeta=catalan(n), z=1 + n // 2
-        )
+        comps = tuple((binomial(n, a) - binomial(n, a - 1), n + 1 - 2 * a)
+                      for a in range(n // 2 + 1))
+        stats = AlgebraStats(d=d, delta=binomial(n + 3, 3), zeta=catalan(n), z=1 + n // 2)
         return stats, ComponentSpec(comps)
     if family is Family.TTSTAR_TSTART:
         if n % 2 == 0:
@@ -507,20 +497,14 @@ def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | 
     return AlgebraStats(d=1 << n, delta=delta, zeta=comps.centralizer_dim, z=z), comps
 
 
-@dataclass
-class AlgebraComparison:
-    family: Family
-    n: int
-    computed: AlgebraStats
-    predicted: AlgebraStats
-    components: ComponentSpec
-    matches: dict[str, bool] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-    # (m_i, d_i) per Wedderburn block, ascending by the eigenvalue that
-    # separated it; None when zeta came from the commuting combinations of
-    # the d^2 unit matrices, the routine that also gives the center.
-    # Library only: to_json and the CLI text leave it out.
-    computed_components: ComponentSpec | None = None
+class AlgebraComparison(Record):
+    FIELDS = ("family", "n", "computed", "predicted", "components", "matches", "notes",
+              "computed_components")
+    # computed_components: (m_i, d_i) per Wedderburn block, ascending by the
+    # eigenvalue that separated it; None when zeta came from the commuting
+    # combinations of the d^2 unit matrices, the routine that also gives the
+    # center. Library only: to_json and the CLI text leave it out.
+    DEFAULTS = {"matches": dict, "notes": list, "computed_components": lambda: None}
 
     @property
     def ok(self) -> bool:

@@ -218,18 +218,10 @@ def central_row_value(N: int, j: int) -> Fraction:
     """Closed form for the middle-row entry Phi^N[m][j], m = floor(N/2)."""
     if N < 0 or not 0 <= j <= N:
         raise ValueError(f"bad parameters N={N} j={j}")
-    m = N // 2
-    if N % 2 == 0:
-        if j % 2 == 1:
-            return Fraction(0)
-        k = j // 2
-        return Fraction(
-            binomial(m, k) * (-1) ** k * binomial(2 * m, m), binomial(2 * m, j)
-        )
-    k = j // 2
-    return Fraction(
-        binomial(m, k) * (-1) ** k * binomial(2 * m + 1, m), binomial(2 * m + 1, j)
-    )
+    m, k = N // 2, j // 2
+    if N % 2 == 0 and j % 2 == 1:
+        return Fraction(0)
+    return Fraction(binomial(m, k) * (-1) ** k * binomial(N, m), binomial(N, j))
 
 
 def column_square_central_link(m: int, j: int) -> tuple[int, int]:

@@ -19,19 +19,17 @@ clears the memo when a command returns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .combinatorics import binomial
-from .report import IdentityReport
+from .report import FrozenRecord, IdentityReport
 
 
-@dataclass(frozen=True)
-class KrawtchoukMatrix:
-    N: int
-    r: int | Fraction  # the int 1 at r = 1
-    entries: tuple[tuple[int | Fraction, ...], ...]  # [n][j], degree x evaluation
+class KrawtchoukMatrix(FrozenRecord):
+    """Level N for parameter r (the int 1 at r = 1); entries[n][j], degree x evaluation."""
+
+    FIELDS = ("N", "r", "entries")
 
     def entry(self, n: int, j: int) -> int | Fraction:
         """Entry [n][j]; n = -1 returns the boundary value 0, in the entries' type."""

@@ -1,22 +1,56 @@
-"""Failure-list reports shared by all verification suites."""
+"""Failure-list reports shared by all verification suites, and Record, the
+base of the package's small value classes."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
 MAX_STORED = 100
 
 
+class Record:
+    """A small value class, built without dataclasses, which import inspect and
+    typing. FIELDS names the constructor's arguments in order; DEFAULTS maps
+    trailing ones to a factory, called per instance. Instances compare equal by
+    their fields, vars() is the field dict, and pickling goes through __dict__."""
+
+    FIELDS: tuple[str, ...] = ()
+    DEFAULTS: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        given, names = dict(zip(self.FIELDS, args), **kwargs), set(self.FIELDS)
+        if len(given) < len(args) + len(kwargs) or not (
+                names - self.DEFAULTS.keys() <= given.keys() <= names):
+            raise TypeError(f"{type(self).__name__}{self.FIELDS} given {args}, {kwargs}")
+        for name in self.FIELDS:  # not via __dict__: a dict made here slows every attribute read
+            object.__setattr__(self, name, given[name] if name in given else self.DEFAULTS[name]())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.FIELDS)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record that hashes by its fields and refuses assignment."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+
 def render_rational(x: Fraction | int) -> str:
     """Render an exact value as 'num/den', or plain integer when denominator is 1."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))  # a bool prints as 0 or 1
 
 
-def render_side(x: Any) -> str:
+def render_side(x) -> str:
     """One side of a failed comparison as text. A tuple prints element by element
     with render_rational, so an int and an equal Fraction print alike."""
     if isinstance(x, tuple):
@@ -25,11 +59,8 @@ def render_side(x: Any) -> str:
     return str(x)
 
 
-@dataclass
-class Failure:
-    params: tuple
-    left: Any
-    right: Any
+class Failure(Record):
+    FIELDS = ("params", "left", "right")
 
     def to_json(self) -> dict:
         def side(x):
@@ -39,18 +70,15 @@ class Failure:
                 "left": side(self.left), "right": side(self.right)}
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one verification sweep: case count plus exact-mismatch list.
 
     The stored failure list is capped at MAX_STORED entries, but
     ``failure_count`` always reflects the true total.
     """
 
-    suite: str
-    cases: int = 0
-    failure_count: int = 0
-    failures: list[Failure] = field(default_factory=list)
+    FIELDS = ("suite", "cases", "failure_count", "failures")
+    DEFAULTS = {"cases": int, "failure_count": int, "failures": list}
 
     @property
     def ok(self) -> bool:

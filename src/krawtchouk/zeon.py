@@ -198,9 +198,7 @@ def lower_op(n: int, i: int) -> ZeonMatrix:
 
 def zeon_sum(n: int, terms) -> ZeonMatrix:
     """The sum of c * A over the (c, A) pairs in terms, in one combine."""
-    out = ZeonMatrix(n)
-    out.rows = combine((c, A.rows) for c, A in terms)
-    return out
+    return ZeonMatrix(n)._new(combine((c, A.rows) for c, A in terms))
 
 
 def op_T(n: int) -> ZeonMatrix:

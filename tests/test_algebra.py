@@ -27,6 +27,7 @@ from krawtchouk.algebra import (
     zeta_via_theorem,
 )
 from krawtchouk.combinatorics import binomial, catalan
+from krawtchouk.matrices import build_matrix
 from krawtchouk.orbits import OrbitBasis
 from krawtchouk.zeon import ZeonMatrix, layer, op_T, op_Tstar, op_U
 
@@ -562,3 +563,39 @@ def test_a_failing_orbit_certificate_falls_back_to_the_matrix_path(monkeypatch, 
     # above the matrix path's budget the failure is reported, not run for hours
     with pytest.raises(BudgetError, match="certificate of the orbit path failed at n=7"):
         analyze_family(family, algebra.MATRIX_PATH_MAX_N + 1)
+
+
+# ---------------------------------------------------------------------------
+# the symmetric Krawtchouk matrix as the eigenmatrix of the Hamming scheme
+# ---------------------------------------------------------------------------
+
+def hamming_scheme(n):
+    """The orbit basis, the distance matrices A_k = sum of M[i, j, t] over
+    i + j - 2t = k, and F_j = sum_k K[j][k] A_k with K = build_matrix(n, 1).entries
+    as stored: F_j is 2^n times the j-th primitive idempotent of the Bose-Mesner
+    algebra (Delsarte 1973; MacWilliams and Sloane, ch. 21)."""
+    orbits = OrbitBasis(n)
+    A = [orbits.element((key, 1) for key in orbits.keys if key[0] + key[1] - 2 * key[2] == k)
+         for k in range(n + 1)]
+    K = build_matrix(n, 1).entries
+    F = [orbits.combine((K[j][k], A[k]) for k in range(n + 1)) for j in range(n + 1)]
+    return orbits, A, F
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_symmetric_matrix_is_the_eigenmatrix_of_the_hamming_scheme(n):
+    # builder at r = 1 against the orbit basis's structure constants; neither
+    # side's code is the other's
+    orbits, A, F = hamming_scheme(n)
+    assert all(F)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            expected = orbits.combine([(1 << n, F[j])]) if i == j else {}
+            assert orbits.mul(F[i], F[j]) == expected, (i, j)
+    assert orbits.combine((1, f) for f in F) == orbits.combine([(1 << n, orbits.identity())])
+    for j in range(n + 1):
+        assert orbits.mul(A[1], F[j]) == orbits.combine([(n - 2 * j, F[j])]), j
+    for k in range(n + 1):  # A_(-1) = A_(n+1) = 0
+        terms = [(k + 1, A[k + 1])] if k < n else []
+        terms += [(n - k + 1, A[k - 1])] if k > 0 else []
+        assert orbits.mul(A[1], A[k]) == orbits.combine(terms), k

@@ -1,5 +1,4 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
-import dataclasses
 import json
 import os
 import signal
@@ -162,6 +161,17 @@ def test_importing_the_cli_loads_no_process_pool():
     assert result.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # the value classes derive from report.Record, not dataclasses, whose imports would
+    # add to every command's start-up; -S keeps site's .pth hooks from importing typing
+    probe = ("import sys, krawtchouk.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing', 'ast'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_verify_all_jobs_pickles_every_task_and_keeps_stdout(capsys):
     base = ("verify", "--suite", "all", "--max-n", "3", "--r", "1", "--r", "-2/3")
     _, sequential, _ = run(capsys, *base)
@@ -278,7 +288,7 @@ def test_algebra_check_exits_1_when_a_statistic_disagrees(capsys, monkeypatch):
 
     def wrong_zeta(family, n):
         stats, comps = real(family, n)
-        return dataclasses.replace(stats, zeta=stats.zeta + 1), comps
+        return type(stats)(**{**vars(stats), "zeta": stats.zeta + 1}), comps
 
     monkeypatch.setattr(algebra, "predicted_stats", wrong_zeta)
     code, out, _ = run(capsys, "algebra", "--n", "3", "--family", "U", "--check")
