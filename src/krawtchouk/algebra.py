@@ -18,8 +18,8 @@ the block degrees d_i^2 = dim P_i(c) A.
 algebra_stats runs it on the matrices it is given and, when a certificate
 fails, takes zeta from the center's routine over the d^2 unit matrices.
 analyze_family runs it on the three operator families over the Boolean
-lattice in the orbit basis, with the 2^n matrices as the fallback for
-n <= 6, and compares the result with the closed-form predictions.
+lattice in the orbit basis, the only path (algebra_stats on the 2^n matrices
+is the tests' oracle), and compares the result with the closed forms.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from .zeon import ZeonMatrix, combine, mat_mul, op_T, op_Tstar, op_U, transpose
 
 DEFAULT_MAX_N = 12
 LARGE_MAX_N = 18
-MATRIX_PATH_MAX_N = 6  # the families' 2^n fallback; n = 6 takes about 0.5 s
 
 
 class BudgetError(ValueError):
@@ -501,9 +500,8 @@ class AlgebraComparison(Record):
     FIELDS = ("family", "n", "computed", "predicted", "components", "matches", "notes",
               "computed_components")
     # computed_components: (m_i, d_i) per Wedderburn block, ascending by the
-    # eigenvalue that separated it; None when zeta came from the commuting
-    # combinations of the d^2 unit matrices, the routine that also gives the
-    # center. Library only: to_json and the CLI text leave it out.
+    # eigenvalue that separated it. Library only: to_json and the CLI text
+    # leave it out.
     DEFAULTS = {"matches": dict, "notes": list, "computed_components": lambda: None}
 
     @property
@@ -533,24 +531,19 @@ class AlgebraComparison(Record):
 def analyze_family(family: Family, n: int, allow_large: bool = False) -> AlgebraComparison:
     """Compute the four statistics for one operator family and compare.
 
-    The statistics come from orbit_stats, or, when a certificate of the orbit
-    path fails and n <= MATRIX_PATH_MAX_N, from algebra_stats on the 2^n x 2^n
-    generators; above that such a failure raises BudgetError. The default
-    budget is n <= DEFAULT_MAX_N (12); up to LARGE_MAX_N (18) requires
-    allow_large.
+    The statistics come from orbit_stats alone: a failed certificate raises
+    ValueError. The budget, n <= DEFAULT_MAX_N (12) or n <= LARGE_MAX_N (18)
+    with allow_large, and n >= 1 (predicted_stats) are checked first.
     """
     limit = LARGE_MAX_N if allow_large else DEFAULT_MAX_N
     if n > limit:
-        hint = "" if allow_large else f"; pass allow_large to permit n={LARGE_MAX_N}"
-        raise BudgetError(f"n={n} exceeds the exact-computation budget ({limit}){hint}")
+        hint = "" if allow_large else f"; pass --allow-large to permit --n {LARGE_MAX_N}"
+        raise BudgetError(f"--n {n} exceeds the budget ({limit}){hint}")
+    predicted, comps = predicted_stats(family, n)
     result = orbit_stats(family, n)
     if result is None:
-        if n > MATRIX_PATH_MAX_N:
-            raise BudgetError(f"a certificate of the orbit path failed at n={n}, and the "
-                              f"2^n matrix path is budgeted to n <= {MATRIX_PATH_MAX_N}")
-        result = algebra_stats(family_generators(family, n))
+        raise ValueError(f"a certificate of the orbit path failed at n={n}")
     computed, computed_components = result
-    predicted, comps = predicted_stats(family, n)
 
     comparison = AlgebraComparison(
         family=family, n=n, computed=computed, predicted=predicted, components=comps,

@@ -8,6 +8,7 @@ stderr; stdout is byte-stable across identical invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import DEFAULT_MAX_N, LARGE_MAX_N, Family, analyze_family
+from .algebra import Family, analyze_family
 from .identities import (
     catalan_connection_report,
     central_row_value,
@@ -280,10 +281,9 @@ def _render_matrix(M, fmt: str) -> str:
 
 
 def _add_format(p: argparse.ArgumentParser, choices: list[str]) -> None:
-    """--format, defaulting to $KRAWTCHOUK_FORMAT or else the first choice.
-    argparse does not check a default against the choices; main does."""
-    p.add_argument("--format", choices=choices,
-                   default=os.environ.get("KRAWTCHOUK_FORMAT", choices[0]))
+    """--format; without it main reads $KRAWTCHOUK_FORMAT, or else takes the
+    first choice, on each call, and checks it against the choices."""
+    p.add_argument("--format", choices=choices)
     p.set_defaults(formats=choices)
 
 
@@ -291,9 +291,9 @@ def _add_format(p: argparse.ArgumentParser, choices: list[str]) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _check_budget(option: str, value: int, limit: int, hint: str = "") -> None:
+def _check_budget(option: str, value: int, limit: int) -> None:
     if value > limit:
-        raise ValueError(f"{option} {value} exceeds the budget ({limit}){hint}")
+        raise ValueError(f"{option} {value} exceeds the budget ({limit})")
 
 
 def cmd_matrix(args) -> int:
@@ -382,11 +382,6 @@ def cmd_zeon(args) -> int:
 
 
 def cmd_algebra(args) -> int:
-    if args.allow_large:
-        _check_budget("--n", args.n, LARGE_MAX_N)
-    else:
-        _check_budget("--n", args.n, DEFAULT_MAX_N,
-                      f"; pass --allow-large to permit --n {LARGE_MAX_N}")
     family = Family(args.family)
     comparison = analyze_family(family, args.n, allow_large=args.allow_large)
     if args.format == "json":
@@ -415,6 +410,7 @@ def cmd_algebra(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main call, not at import, and then reused
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="krawtchouk",
@@ -459,6 +455,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(join_negative_r(sys.argv[1:] if argv is None else argv))
+    if args.format is None:
+        args.format = os.environ.get("KRAWTCHOUK_FORMAT", args.formats[0])
     if args.format not in args.formats:
         parser.error(f"KRAWTCHOUK_FORMAT={args.format!r} is not a format of "
                      f"{args.command}; accepted: {', '.join(args.formats)}")

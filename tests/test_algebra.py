@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krawtchouk import algebra
+from krawtchouk import algebra, cli
 from krawtchouk.algebra import (
     AlgebraStats,
     BudgetError,
@@ -151,7 +151,8 @@ def test_commutative_families_have_center_equal_to_algebra():
 
 
 def test_budget_enforced():
-    with pytest.raises(BudgetError):
+    message = r"^--n 13 exceeds the budget \(12\); pass --allow-large to permit --n 18$"
+    with pytest.raises(BudgetError, match=message):
         analyze_family(Family.U, 13)
     with pytest.raises(BudgetError, match=r"budget \(18\)$"):
         analyze_family(Family.U, 19, allow_large=True)
@@ -443,8 +444,8 @@ def test_a_block_dimension_that_is_not_a_square_falls_back(monkeypatch):
     monkeypatch.setattr(algebra, "_span_closure", padded)
     padded_paths = (algebra_stats(gens), algebra.orbit_stats(Family.T_TSTAR, 3))
     assert padded_paths == ((expected, None), None)  # the 2^n and the orbit path
-    comparison = analyze_family(Family.T_TSTAR, 3)  # the 2^n fallback, padded too
-    assert (comparison.computed, comparison.computed_components) == (expected, None)
+    with pytest.raises(ValueError, match="certificate of the orbit path failed at n=3$"):
+        analyze_family(Family.T_TSTAR, 3)  # no 2^n answer in its place
     assert expected.zeta == catalan(3)
 
 
@@ -526,12 +527,10 @@ def test_orbit_path_equals_the_matrix_path(family):
         assert sorted(orbit_comps.components) == sorted(comps.components), (family, n)
 
 
-@pytest.mark.parametrize("family,n", [
-    (Family.T_TSTAR, 7), (Family.T_TSTAR, 8), (Family.T_TSTAR, 10),
-    (Family.TTSTAR_TSTART, 8), (Family.TTSTAR_TSTART, 10), (Family.U, 16),
-])
+@pytest.mark.parametrize("family,n", [*((family, n) for family in Family for n in range(7, 13)),
+                                      (Family.U, 16)])
 def test_orbit_path_meets_the_closed_forms_beyond_the_matrix_path(family, n):
-    # n > MATRIX_PATH_MAX_N: a failed certificate raises BudgetError, with no fallback
+    # n > 6, where the tests no longer run the 2^n oracle
     comparison = analyze_family(family, n, allow_large=True)
     predicted, comps = predicted_stats(family, n)
     assert (comparison.computed.delta, comparison.computed.zeta) == (predicted.delta, predicted.zeta)
@@ -552,17 +551,28 @@ TRACE = OrbitBasis.trace
     ("row_sum_bound", lambda self, x: 0),  # the integer roots fail
 ], ids=["trace", "eigenvalue-bound"])
 @pytest.mark.parametrize("family", list(Family))
-def test_a_failing_orbit_certificate_falls_back_to_the_matrix_path(monkeypatch, name, broken,
-                                                                   family):
-    n = 4
-    expected = algebra_stats(family_generators(family, n))
+def test_a_failing_orbit_certificate_is_reported(monkeypatch, capsys, name, broken, family):
+    # at every n: no other path answers in its place, and it is no budget error
     monkeypatch.setattr(OrbitBasis, name, broken)
-    assert algebra.orbit_stats(family, n) is None
-    comparison = analyze_family(family, n)
-    assert (comparison.computed, comparison.computed_components) == expected
-    # above the matrix path's budget the failure is reported, not run for hours
-    with pytest.raises(BudgetError, match="certificate of the orbit path failed at n=7"):
-        analyze_family(family, algebra.MATRIX_PATH_MAX_N + 1)
+    for n in (4, 7):
+        message = f"a certificate of the orbit path failed at n={n}"
+        assert algebra.orbit_stats(family, n) is None
+        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+            analyze_family(family, n)
+        assert not isinstance(exc.value, BudgetError)
+        assert cli.main(["algebra", "--n", str(n), "--family", family.value]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_analyze_family_never_reaches_the_matrix_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("analyze_family reached the 2^n matrix path")
+
+    for name in ("algebra_stats", "family_generators", "MatrixRing", "centralizer_dimension"):
+        monkeypatch.setattr(algebra, name, refuse)
+    for family in Family:
+        for n in range(1, 7):
+            assert analyze_family(family, n).ok, (family, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
+import argparse
 import json
 import os
 import signal
@@ -309,6 +310,35 @@ def test_algebra_large_budget_message_has_no_dangling_separator(capsys):
     code, out, err = run(capsys, "algebra", "--n", "19", "--family", "T", "--allow-large")
     assert code == 2 and out == ""
     assert err == "error: --n 19 exceeds the budget (18)\n"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_algebra_n_below_1_exits_2_before_computing(capsys, monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError(f"orbit_stats ran at n={n}")
+
+    monkeypatch.setattr(algebra, "orbit_stats", refuse)
+    for family in algebra.Family:
+        code, out, err = run(capsys, "algebra", "--n", str(n), "--family", family.value)
+        assert (code, out, err) == (2, "", f"error: n must be >= 1, got {n}\n")
+
+
+def test_main_reuses_its_parser_and_reads_the_env_var_per_call(capsys, monkeypatch):
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    monkeypatch.delenv("KRAWTCHOUK_FORMAT", raising=False)
+    code, out, _ = run(capsys, "matrix", "--n", "1", "--r", "1")
+    assert (code, out) == (0, " 1  1\n 1 -1\n")
+    monkeypatch.setenv("KRAWTCHOUK_FORMAT", "json")
+    code, out, _ = run(capsys, "matrix", "--n", "1", "--r", "1")
+    assert code == 0 and json.loads(out)["N"] == 1
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_env_var_default_format(capsys, monkeypatch):
