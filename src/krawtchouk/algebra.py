@@ -8,12 +8,19 @@ exactly over the rationals (fraction-free, on integers).
 One method, _stats, runs in either of two rings: MatrixRing(d), the d x d
 matrices as rows of the sparse kernel, and orbits.OrbitBasis(n), the
 S_n-invariant 2^n x 2^n matrices as vectors over the C(n+3, 3) orbit
-matrices. The span closure gives A; z = delta if the generators commute,
-else the center is the combinations of A's basis that commute with every
-generator. For a generator set closed under transpose, one central element
-c gives the Wedderburn blocks: its minimal polynomial from I, c, ..., c^z,
-its integer roots, the multiplicities from the traces of its powers, and
-the block degrees d_i^2 = dim P_i(c) A.
+matrices. The span closure gives A and delta. For a generator set closed
+under transpose the Wedderburn step follows, block by block: a ring maps
+its elements into blocks, each a module for A with a weight. MatrixRing is
+one block, itself; the orbit basis has Schrijver's block diagonalisation
+(A. Schrijver, IEEE Trans. Inf. Theory 51, 2005), n//2 + 1 blocks of size
+at most n + 1. For commuting generators the eigenvalues of one element
+c = sum t^k g_k come from each block's image of c (minimal polynomial,
+integer roots, multiplicities from traces) and merge across blocks. Else
+each block's image of A is closed: a block of all m x m matrices is one
+component, and any other takes the generic step, its center, a central
+element s, its eigenvalues, and the component degrees d_i^2 = dim P_i(s) A.
+Certificates tie the blocks to the ring: the traces, the dimensions, and
+sum m_i d_i = d.
 
 algebra_stats runs it on the matrices it is given and, when a certificate
 fails, takes zeta from the center's routine over the d^2 unit matrices.
@@ -31,10 +38,10 @@ from .combinatorics import binomial, catalan
 from .matrices import build_matrix
 from .orbits import OrbitBasis
 from .report import FrozenRecord, IdentityReport, Record
-from .zeon import ZeonMatrix, combine, mat_mul, op_T, op_Tstar, op_U, transpose
+from .zeon import RowsRing, ZeonMatrix, op_T, op_Tstar, op_U
 
-DEFAULT_MAX_N = 12
-LARGE_MAX_N = 18
+DEFAULT_MAX_N = 18
+LARGE_MAX_N = 32
 
 
 class BudgetError(ValueError):
@@ -98,30 +105,18 @@ def _as_rows(mat) -> tuple[int, dict[int, dict[int, int]]]:
     return d, {i: {j: int(v * denom) for j, v in r.items()} for i, r in rows.items()}
 
 
-class MatrixRing:
-    """d x d integer matrices as rows of the sparse kernel, with the operations
-    _stats needs; an element's vector is its row-major vectorization."""
+class MatrixRing(RowsRing):
+    """The d x d matrices the generators are given as, a ring of one block for
+    _stats: itself, with weight 1."""
 
-    mul = staticmethod(mat_mul)
-    combine = staticmethod(combine)
-    transpose = staticmethod(transpose)
+    def blocks(self) -> list[tuple[int, RowsRing]]:
+        return [(1, self)]
 
-    def __init__(self, d: int):
-        self.d = d
-        self.size = d * d  # the width of the vectors
+    def block_images(self, rows: dict) -> list[dict]:
+        return [rows]
 
-    def identity(self) -> dict:
-        return {i: {i: 1} for i in range(self.d)}
-
-    def vec(self, rows: dict) -> dict[int, int]:
-        return {i * self.d + j: v for i, row in rows.items() for j, v in row.items()}
-
-    def trace(self, rows: dict) -> int:
-        return sum(rows.get(i, {}).get(i, 0) for i in range(self.d))
-
-    def row_sum_bound(self, rows: dict) -> int:
-        """The largest absolute row sum, a bound on |eigenvalue|."""
-        return max((sum(map(abs, row.values())) for row in rows.values()), default=0)
+    def block_traces(self, rows: dict) -> list[int]:
+        return [self.trace(rows)]
 
 
 class ExactEchelon:
@@ -253,17 +248,23 @@ def _commuting(ring, gens: list, elements) -> list[dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Wedderburn blocks of a central element
+# Wedderburn components from central elements, block by block
 # ---------------------------------------------------------------------------
 #
 # A generator set closed under transpose generates a *-algebra A, which is
-# semisimple: A = sum_i M_{d_i}, the i-th block acting on V = Q^d with
+# semisimple: A = sum_i M_{d_i}, the i-th component acting on V = Q^d with
 # multiplicity m_i. Every central element c acts as a scalar lambda_i on the
-# mu_i = m_i d_i dimensions of block i, so tr c^k = sum_i mu_i lambda_i^k. If
-# c's minimal polynomial has degree z and z integer roots, c separates the z
-# blocks: P_i(c) (from _lagrange) is a nonzero multiple of block i's central
-# idempotent e_i, and the span of P_i(c) times the words in the generators
-# is e_i A, of dimension d_i^2. Then zeta = sum m_i^2.
+# mu_i = m_i d_i dimensions of component i, so tr c^k = sum_i mu_i lambda_i^k.
+# If c's minimal polynomial has degree z and z integer roots, c separates the
+# z components: P_i(c) (from _lagrange) is a nonzero multiple of component
+# i's central idempotent e_i, and the span of P_i(c) times the words in the
+# generators is e_i A, of dimension d_i^2. Then zeta = sum m_i^2.
+#
+# _stats takes these steps in the blocks of its ring (see the module
+# docstring). For commuting generators an eigenvalue of c found in several
+# blocks is one component, its multiplicity summed over them by weight;
+# otherwise the blocks' dimensions must add up to delta, so that no component
+# occurs in two blocks.
 
 def _roots_above(poly: list[int], a: int) -> int:
     """The sign variations of poly(x + a), coefficients low to high: by
@@ -328,56 +329,110 @@ def _multiplicities(roots: list[int], traces: list[int]) -> list[int] | None:
     return mus
 
 
-def _stats(ring, gens: list, d: int) -> tuple[int, int, ComponentSpec | None]:
-    """(delta, z, components) of the unital algebra that gens generate in ring,
+def _eigenvalues(ring, c, bound: int) -> tuple[list[int], list[int], list] | None:
+    """(roots, mus, powers): c's eigenvalues ascending, the dimensions of their
+    eigenspaces, and I, c, ..., c^(m-1) for the degree m of c's minimal
+    polynomial; None unless its m roots are integers in [-bound, bound] (then c
+    is diagonalizable) and the mus positive integers. The minimal polynomial is
+    the first relation among the powers of c, from one tagged echelon as in
+    _relations."""
+    width, ech, powers = ring.size, ExactEchelon(), [ring.identity()]
+    while True:
+        ech.insert({**ring.vec(powers[-1]), width + len(powers) - 1: 1})
+        minpoly = next((piv for lead, piv in ech.pivots.items() if lead >= width), None)
+        if minpoly:
+            break
+        powers.append(ring.mul(powers[-1], c))
+    powers.pop()  # c^m
+    roots = _integer_roots([minpoly.get(width + k, 0) for k in range(len(powers) + 1)], bound)
+    if roots is None or len(roots) != len(powers):
+        return None
+    mus = _multiplicities(roots, [ring.trace(p) for p in powers])
+    return None if mus is None else (roots, mus, powers)
+
+
+def _stats(ring, gens: list, d: int) -> tuple[int, int | None, ComponentSpec | None]:
+    """(delta, z, components) of the unital algebra A that gens generate in ring,
     whose elements are d x d matrices; the components are None when a
-    certificate of the Wedderburn blocks fails. d is not read from ring.trace,
-    so sum m_i d_i = d checks the traces."""
+    certificate fails, and z too when that happens before the center is known,
+    which needs more than one block. d is not read from ring.trace, so
+    sum m_i d_i = d checks the traces; the blocks' weighted traces must equal
+    ring.trace on A's basis."""
     one = ring.identity()
     basis = _span_closure(ring, gens, [one] + gens)
     delta = len(basis)
-    if all(ring.mul(g, h) == ring.mul(h, g) for i, g in enumerate(gens) for h in gens[i + 1:]):
-        z = delta  # A is commutative: its center is all of A
-        # c = sum_k t^k g_k with t = 2B + 1, |eigenvalue of g_k| <= B: blocks with
-        # integer joint eigenvalues are the base-t numbers with digits in [-B, B],
-        # so two blocks with different ones take different eigenvalues of c
-        t = 2 * max(map(ring.row_sum_bound, gens)) + 1
-        c = ring.combine((t ** k, g) for k, g in enumerate(gens))
-    else:
-        center = _commuting(ring, gens, basis)
-        z = len(center)
-        s = ring.combine((w * v, basis[k])
-                         for w, element in enumerate(center, start=1) for k, v in element.items())
-        c = ring.combine([(1, s), (1, ring.transpose(s))])
+    commutative = all(ring.mul(g, h) == ring.mul(h, g)
+                      for i, g in enumerate(gens) for h in gens[i + 1:])
     if any(ring.transpose(g) not in gens for g in gens):
-        return delta, z, None  # not a *-algebra: semisimplicity is not guaranteed
-    powers = [one]
-    while len(powers) <= z:
-        powers.append(ring.mul(powers[-1], c))
-    # deg minpoly(c) <= z, since c lies in the z-dimensional center; one
-    # relation among I, c, ..., c^z means degree z: c separates the blocks
-    minpolys = _relations(map(ring.vec, powers), ring.size)
-    if len(minpolys) != 1:
+        # not a *-algebra: semisimplicity is not guaranteed
+        return delta, delta if commutative else len(_commuting(ring, gens, basis)), None
+    blocks = ring.blocks()
+    z = delta if commutative else None  # a commutative A is its own center
+    if blocks is None or any(
+            ring.trace(b) != sum(w * tr for (w, _), tr in zip(blocks, ring.block_traces(b)))
+            for b in basis):
         return delta, z, None
-    roots = _integer_roots([minpolys[0].get(k, 0) for k in range(z + 1)], ring.row_sum_bound(c))
-    if roots is None or len(roots) != z:
-        return delta, z, None  # the center does not split over Q
-    mus = _multiplicities(roots, [ring.trace(p) for p in powers[:z]])
-    if mus is None:
-        return delta, z, None
-    if z == delta:
-        comps = [(mu, 1) for mu in mus]  # A is commutative: every block is 1 x 1
+    if commutative:
+        comps = _commutative_components(ring, gens, blocks)
     else:
-        comps = []
-        for lam, mu in zip(roots, mus):
-            ideal = ring.combine(zip(_lagrange(roots, lam), powers))
-            block_dim = len(_span_closure(ring, gens, [ideal]))
-            block = math.isqrt(block_dim)
-            if block * block != block_dim or mu % block:
-                return delta, z, None
-            comps.append((mu // block, block))
+        z, comps = _block_components(ring, gens, blocks, basis)
+    if comps is None:
+        return delta, z, None
     spec = ComponentSpec(tuple(comps))
     return delta, z, spec if spec.degree_sum == d and spec.dimension == delta else None
+
+
+def _commutative_components(ring, gens: list, blocks: list) -> list | None:
+    """(mu, 1) per eigenvalue of c = sum_k t^k g_k, ascending: every block's
+    eigenvalues of c, with mu the weighted sum of their multiplicities."""
+    # t = 2B + 1, |eigenvalue of g_k| <= B: joint eigenvalues of the generators
+    # are the base-t numbers with digits in [-B, B], so two components with
+    # different ones take different eigenvalues of c
+    t = 2 * max(map(ring.row_sum_bound, gens)) + 1
+    c = ring.combine((t ** k, g) for k, g in enumerate(gens))
+    bound, mus = ring.row_sum_bound(c), {}
+    for (weight, block), image in zip(blocks, ring.block_images(c)):
+        eigen = _eigenvalues(block, image, bound)
+        if eigen is None:
+            return None
+        for lam, mu in zip(eigen[0], eigen[1]):
+            mus[lam] = mus.get(lam, 0) + weight * mu
+    return [(mus[lam], 1) for lam in sorted(mus)]
+
+
+def _block_components(ring, gens: list, blocks: list,
+                      basis: list) -> tuple[int | None, list | None]:
+    """(z, components) of a non-commutative A from its image in every block;
+    z is None if those images do not add up to A."""
+    images = [list(bgens) for bgens in zip(*map(ring.block_images, gens))]
+    closures = [basis if block is ring else _span_closure(block, bgens, [block.identity()])
+                for (_, block), bgens in zip(blocks, images)]
+    if sum(map(len, closures)) != len(basis):
+        return None, None
+    # a block of m x m matrices (m = block.d) whose image is all of them is one
+    # component; any other needs its center
+    centers = [None if len(closure) == block.d ** 2 else _commuting(block, bgens, closure)
+               for (_, block), bgens, closure in zip(blocks, images, closures)]
+    z = sum(1 if center is None else len(center) for center in centers)
+    comps = []
+    for (weight, block), bgens, closure, center in zip(blocks, images, closures, centers):
+        if center is None:
+            comps.append((weight, block.d))
+            continue
+        s = block.combine((w * v, closure[k])
+                          for w, element in enumerate(center, start=1) for k, v in element.items())
+        eigen = _eigenvalues(block, s, block.row_sum_bound(s))
+        if eigen is None or len(eigen[0]) != len(center):
+            return z, None  # s does not separate the center's components over Q
+        roots, mus, powers = eigen
+        for lam, mu in zip(roots, mus):
+            ideal = block.combine(zip(_lagrange(roots, lam), powers))
+            dim = len(_span_closure(block, bgens, [ideal]))
+            degree = math.isqrt(dim)
+            if degree * degree != dim or mu % degree:
+                return z, None
+            comps.append((weight * mu // degree, degree))
+    return z, comps
 
 
 def algebra_stats(generators) -> tuple[AlgebraStats, ComponentSpec | None]:
@@ -488,7 +543,11 @@ def _orbit_generators(orbits: OrbitBasis, family: Family) -> list[dict[int, int]
 
 def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | None:
     """algebra_stats(family_generators(family, n)), computed in the S_n orbit
-    basis; None when a certificate fails."""
+    basis: the span closure there, the Wedderburn step in Schrijver's blocks
+    (OrbitBasis.blocks). None when a certificate fails: a division of the
+    block map that leaves a remainder, the weighted block traces against
+    OrbitBasis.trace, the block dimensions against delta, integer
+    eigenvalues and multiplicities, or sum m_i d_i = 2^n."""
     orbits = OrbitBasis(n)
     delta, z, comps = _stats(orbits, _orbit_generators(orbits, family), 1 << n)
     if comps is None:
@@ -499,9 +558,10 @@ def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | 
 class AlgebraComparison(Record):
     FIELDS = ("family", "n", "computed", "predicted", "components", "matches", "notes",
               "computed_components")
-    # computed_components: (m_i, d_i) per Wedderburn block, ascending by the
-    # eigenvalue that separated it. Library only: to_json and the CLI text
-    # leave it out.
+    # computed_components: (m_i, d_i) per Wedderburn component. For U and TT
+    # they ascend by the eigenvalue of c that separated them; for T they are
+    # Schrijver's blocks in order, k = 0..n//2, degree n + 1 - 2k. Library
+    # only: to_json and the CLI text leave it out.
     DEFAULTS = {"matches": dict, "notes": list, "computed_components": lambda: None}
 
     @property
@@ -532,7 +592,7 @@ def analyze_family(family: Family, n: int, allow_large: bool = False) -> Algebra
     """Compute the four statistics for one operator family and compare.
 
     The statistics come from orbit_stats alone: a failed certificate raises
-    ValueError. The budget, n <= DEFAULT_MAX_N (12) or n <= LARGE_MAX_N (18)
+    ValueError. The budget, n <= DEFAULT_MAX_N (18) or n <= LARGE_MAX_N (32)
     with allow_large, and n >= 1 (predicted_stats) are checked first.
     """
     limit = LARGE_MAX_N if allow_large else DEFAULT_MAX_N

@@ -8,14 +8,31 @@ span the Terwilliger algebra of the hypercube (J. T. Go, Europ. J. Combin. 23,
 2002; A. Schrijver, IEEE Trans. Inf. Theory 51, 2005). An element is a vector
 {k: coefficient} over the keys (i, j, t) of one OrbitBasis, with no zero
 coefficient; no method mutates an argument, and only vec returns one.
+
+Schrijver's block diagonalisation (2005, above) maps the algebra into small
+blocks: for k = 0..n//2, block k holds (n - 2k + 1) x (n - 2k + 1) matrices
+and acts on Q^(2^n) with multiplicity C(n, k) - C(n, k - 1). M[i, j, t] goes
+to entry (i - k, j - k) of block k with value beta(i, j, t, k) / C(n - 2k,
+j - k) (see _beta): Schrijver's symmetric blocks conjugated by a diagonal
+matrix, so that every entry is an integer. The map is multiplicative and
+unital, the trace on Q^(2^n) is the weighted sum of the blocks' traces, and
+the adjoint is the transpose weighted by the binomials, X(x^T)[b][a] =
+X(x)[a][b] C(n - 2k, b) / C(n - 2k, a). A division that leaves a remainder
+refutes the map; the algebra statistics then report a failed certificate.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
+
+from .zeon import Rows, RowsRing
 
 
 class OrbitBasis:
-    """The orbit matrices for one n, with the products of pairs cached."""
+    """The orbit matrices for one n, with the products of pairs cached, and
+    Schrijver's block map, built on first use: blocks, block_images and
+    block_traces are the blocks in which algebra._stats takes its Wedderburn
+    step."""
 
     def __init__(self, n: int):
         self.n = n
@@ -99,3 +116,66 @@ class OrbitBasis:
             i, j, t = self.keys[k]
             sums[i] += abs(v) * C[i][t] * C[self.n - i][j - t]
         return max(sums)
+
+    def _beta(self, i: int, j: int, t: int, k: int) -> int:
+        """beta(i, j, t, k) = sum_u (-1)^(u - t) C(u, t) C(n - 2k, u - k)
+        C(n - k - u, i - u) C(n - k - u, j - u), for k <= i, j <= n - k."""
+        n, C = self.n, self._binomial
+        beta = 0
+        for u in range(max(t, k), min(i, j) + 1):
+            term = C[u][t] * C[n - 2 * k][u - k] * C[n - k - u][i - u] * C[n - k - u][j - u]
+            beta += -term if (u - t) & 1 else term
+        return beta
+
+    @cached_property
+    def _block_map(self) -> list[list[tuple[int, int, int, int]]] | None:
+        """Per key (i, j, t), the entries (k, i - k, j - k, value) of its block
+        images that are not 0; None if a division by C(n - 2k, j - k) leaves a
+        remainder, which refutes the map."""
+        n, C = self.n, self._binomial
+        table = []
+        for i, j, t in self.keys:
+            entries = []
+            for k in range(min(i, j, n - i, n - j) + 1):
+                value, rem = divmod(self._beta(i, j, t, k), C[n - 2 * k][j - k])
+                if rem:
+                    return None
+                if value:
+                    entries.append((k, i - k, j - k, value))
+            table.append(entries)
+        return table
+
+    def blocks(self) -> list[tuple[int, RowsRing]] | None:
+        """The (weight, ring) of each block k = 0..n//2: C(n, k) - C(n, k - 1) and
+        the (n - 2k + 1) x (n - 2k + 1) matrices; None if the block map is refuted."""
+        if self._block_map is None:
+            return None
+        C = self._binomial[self.n]
+        return [(C[k] - (C[k - 1] if k else 0), RowsRing(self.n - 2 * k + 1))
+                for k in range(self.n // 2 + 1)]
+
+    def block_images(self, x: dict[int, int]) -> list[Rows]:
+        """The image of x in every block, as rows of the sparse kernel."""
+        images: list[Rows] = [{} for _ in range(self.n // 2 + 1)]
+        for p, v in x.items():
+            for k, a, b, value in self._block_map[p]:
+                row = images[k].setdefault(a, {})
+                row[b] = row.get(b, 0) + v * value
+        return [{a: row for a, row in ((a, {b: w for b, w in row.items() if w})
+                                       for a, row in image.items()) if row}
+                for image in images]
+
+    def block_traces(self, x: dict[int, int]) -> list[int]:
+        """The trace of x's image in every block, read from the diagonal keys
+        (i, i, t) of x alone."""
+        traces = [0] * (self.n // 2 + 1)
+        for p in self._diagonal:
+            v = x.get(p)
+            if v:
+                for k, _, _, value in self._block_map[p]:
+                    traces[k] += v * value
+        return traces
+
+    @cached_property
+    def _diagonal(self) -> list[int]:
+        return [p for p, (i, j, _) in enumerate(self.keys) if i == j]

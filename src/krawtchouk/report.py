@@ -16,13 +16,42 @@ class Record:
     FIELDS: tuple[str, ...] = ()
     DEFAULTS: dict = {}
 
-    def __init__(self, *args, **kwargs):
-        given, names = dict(zip(self.FIELDS, args), **kwargs), set(self.FIELDS)
-        if len(given) < len(args) + len(kwargs) or not (
-                names - self.DEFAULTS.keys() <= given.keys() <= names):
-            raise TypeError(f"{type(self).__name__}{self.FIELDS} given {args}, {kwargs}")
-        for name in self.FIELDS:  # not via __dict__: a dict made here slows every attribute read
-            object.__setattr__(self, name, given[name] if name in given else self.DEFAULTS[name]())
+    def __init_subclass__(cls, **kwargs):
+        """Give each subclass an __init__ bound to its own fields, with a fast
+        path for every field given by position."""
+        super().__init_subclass__(**kwargs)
+        fields, defaults = cls.FIELDS, cls.DEFAULTS
+        count = len(fields)
+        # not via __dict__: a dict made here slows every attribute read
+        setattr_ = object.__setattr__
+
+        def refused(args, kwargs):
+            return TypeError(f"{cls.__name__}{fields} given {args}, {kwargs}")
+
+        def __init__(self, *args, **kwargs):
+            if args:
+                if not kwargs and len(args) == count:
+                    for name, value in zip(fields, args):
+                        setattr_(self, name, value)
+                    return
+                if len(args) > count or not kwargs.keys().isdisjoint(fields[:len(args)]):
+                    raise refused(args, kwargs)
+                kwargs.update(zip(fields, args))
+            used = 0
+            for name in fields:
+                if name in kwargs:
+                    value = kwargs[name]
+                    used += 1
+                elif name in defaults:
+                    value = defaults[name]()
+                else:
+                    raise refused(args, kwargs)
+                setattr_(self, name, value)
+            if used < len(kwargs):
+                raise refused(args, kwargs)  # an unknown keyword
+
+        __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = __init__
 
     def _values(self) -> tuple:
         return tuple(getattr(self, field) for field in self.FIELDS)

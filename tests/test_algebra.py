@@ -151,11 +151,11 @@ def test_commutative_families_have_center_equal_to_algebra():
 
 
 def test_budget_enforced():
-    message = r"^--n 13 exceeds the budget \(12\); pass --allow-large to permit --n 18$"
+    message = r"^--n 19 exceeds the budget \(18\); pass --allow-large to permit --n 32$"
     with pytest.raises(BudgetError, match=message):
-        analyze_family(Family.U, 13)
-    with pytest.raises(BudgetError, match=r"budget \(18\)$"):
-        analyze_family(Family.U, 19, allow_large=True)
+        analyze_family(Family.U, 19)
+    with pytest.raises(BudgetError, match=r"budget \(32\)$"):
+        analyze_family(Family.U, 33, allow_large=True)
 
 
 def test_analyze_u_n4_matches_closed_forms():
@@ -483,10 +483,15 @@ def test_orbit_keys_are_the_nonzero_orbit_matrices():
         assert sorted(orbits.keys) == nonzero and len(nonzero) == binomial(n + 3, 3)
 
 
-ORBIT_VECTORS = st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.just(n),
-    *[st.dictionaries(st.integers(0, binomial(n + 3, 3) - 1), st.integers(-3, 3).filter(bool),
-                      max_size=6)] * 2))
+def orbit_vectors(max_n, max_size):
+    """(n, x, y) for an n <= max_n and two orbit-basis vectors of at most max_size terms."""
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(
+        st.just(n),
+        *[st.dictionaries(st.integers(0, binomial(n + 3, 3) - 1), st.integers(-3, 3).filter(bool),
+                          max_size=max_size)] * 2))
+
+
+ORBIT_VECTORS = orbit_vectors(4, 6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,8 +532,7 @@ def test_orbit_path_equals_the_matrix_path(family):
         assert sorted(orbit_comps.components) == sorted(comps.components), (family, n)
 
 
-@pytest.mark.parametrize("family,n", [*((family, n) for family in Family for n in range(7, 13)),
-                                      (Family.U, 16)])
+@pytest.mark.parametrize("family,n", [(family, n) for family in Family for n in range(7, 19)])
 def test_orbit_path_meets_the_closed_forms_beyond_the_matrix_path(family, n):
     # n > 6, where the tests no longer run the 2^n oracle
     comparison = analyze_family(family, n, allow_large=True)
@@ -543,17 +547,23 @@ def test_orbit_path_meets_the_closed_forms_beyond_the_matrix_path(family, n):
         assert comparison.computed.z == predicted.z
 
 
-TRACE = OrbitBasis.trace
+TRACE, BETA = OrbitBasis.trace, OrbitBasis._beta
+BROKEN = {
+    "trace": ("trace", lambda self, x: TRACE(self, x) + 1),  # the blocks' traces disagree
+    "eigenvalue-bound": ("row_sum_bound", lambda self, x: 0),  # the integer roots fail
+    # a division of the block map leaves a remainder
+    "block-map": ("_beta", lambda self, *key: BETA(self, *key) + 1),
+}
 
 
-@pytest.mark.parametrize("name,broken", [
-    ("trace", lambda self, x: TRACE(self, x) + 1),  # the multiplicities fail
-    ("row_sum_bound", lambda self, x: 0),  # the integer roots fail
-], ids=["trace", "eigenvalue-bound"])
-@pytest.mark.parametrize("family", list(Family))
-def test_a_failing_orbit_certificate_is_reported(monkeypatch, capsys, name, broken, family):
+# T's Wedderburn step reads no eigenvalue bound: each of its blocks is all m x m matrices
+@pytest.mark.parametrize("family,broken", [
+    (family, broken) for family in Family for broken in BROKEN
+    if not (family is Family.T_TSTAR and broken == "eigenvalue-bound")
+], ids=str)
+def test_a_failing_orbit_certificate_is_reported(monkeypatch, capsys, family, broken):
     # at every n: no other path answers in its place, and it is no budget error
-    monkeypatch.setattr(OrbitBasis, name, broken)
+    monkeypatch.setattr(OrbitBasis, *BROKEN[broken])
     for n in (4, 7):
         message = f"a certificate of the orbit path failed at n={n}"
         assert algebra.orbit_stats(family, n) is None
@@ -573,6 +583,90 @@ def test_analyze_family_never_reaches_the_matrix_path(monkeypatch):
     for family in Family:
         for n in range(1, 7):
             assert analyze_family(family, n).ok, (family, n)
+
+
+# ---------------------------------------------------------------------------
+# Schrijver's block map of the orbit basis, and the Wedderburn step on it
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(case=orbit_vectors(6, 8))
+def test_the_block_map_is_multiplicative_and_keeps_the_trace_and_the_adjoint(case):
+    # against the orbit basis's own product, transpose and trace
+    n, x, y = case
+    orbits = OrbitBasis(n)
+    blocks = orbits.blocks()
+    X, Y = orbits.block_images(x), orbits.block_images(y)
+    assert orbits.block_images(orbits.identity()) == [ring.identity() for _, ring in blocks]
+    assert orbits.block_images(orbits.mul(x, y)) == [
+        ring.mul(a, b) for (_, ring), a, b in zip(blocks, X, Y)]
+    traces = orbits.block_traces(x)
+    assert traces == [ring.trace(a) for (_, ring), a in zip(blocks, X)]
+    assert orbits.trace(x) == sum(weight * tr for (weight, _), tr in zip(blocks, traces))
+    for k, (a, at) in enumerate(zip(X, orbits.block_images(orbits.transpose(x)))):
+        # X(x^T)[b][a] C(n - 2k, a) = X(x)[a][b] C(n - 2k, b)
+        C = [binomial(n - 2 * k, r) for r in range(n - 2 * k + 1)]
+        assert {(r, c): v * C[c] for r, row in a.items() for c, v in row.items()} \
+            == {(r, c): v * C[r] for c, row in at.items() for r, v in row.items()}
+
+
+@pytest.mark.parametrize("n", [*range(1, 19), algebra.LARGE_MAX_N])
+def test_the_blocks_have_the_algebra_s_dimension_and_act_on_2_to_the_n(n):
+    blocks = OrbitBasis(n).blocks()  # None if a division left a remainder
+    assert [ring.d for _, ring in blocks] == list(range(n + 1, 0, -2))
+    assert sum(ring.d ** 2 for _, ring in blocks) == binomial(n + 3, 3)
+    assert sum(weight * ring.d for weight, ring in blocks) == 1 << n
+    assert all(weight > 0 for weight, _ in blocks)
+
+
+class OneBlock(OrbitBasis):
+    """The orbit basis with its block map hidden: _stats sees one block, the
+    ring itself, of 2^n x 2^n matrices, and runs the generic Wedderburn step
+    (a center pass for T, the minimal polynomial of c for U and TT) on
+    C(n + 3, 3)-vectors."""
+
+    @property
+    def d(self):
+        return 1 << self.n
+
+    def blocks(self):
+        return [(1, self)]
+
+    def block_images(self, x):
+        return [x]
+
+    def block_traces(self, x):
+        return [self.trace(x)]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_the_block_step_equals_the_step_on_one_orbit_block(family):
+    for n in range(1, 11):
+        results = []
+        for orbits in (OrbitBasis(n), OneBlock(n)):
+            gens = algebra._orbit_generators(orbits, family)
+            delta, z, comps = algebra._stats(orbits, gens, 1 << n)
+            assert comps is not None, (family, n, type(orbits))
+            results.append((delta, z, sorted(comps.components)))
+        assert results[0] == results[1], (family, n)
+
+
+def test_the_orbit_path_runs_no_center_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a center pass ran on the orbit path")
+
+    monkeypatch.setattr(algebra, "_commuting", refuse)
+    for family in Family:
+        for n in range(1, 9):
+            assert algebra.orbit_stats(family, n) is not None, (family, n)
+
+
+def test_the_blocks_of_T_are_its_components_in_order():
+    # each block k is the component (C(n, k) - C(n, k - 1), n - 2k + 1)
+    for n in range(1, 9):
+        _, comps = algebra.orbit_stats(Family.T_TSTAR, n)
+        blocks = OrbitBasis(n).blocks()
+        assert list(comps.components) == [(weight, ring.d) for weight, ring in blocks]
 
 
 # ---------------------------------------------------------------------------

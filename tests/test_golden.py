@@ -54,14 +54,17 @@ CORPUS = {
     **{f"algebra-{family}-12-json": ["algebra", "--family", family, "--n", "12",
                                      "--check", "--format", "json"]
        for family in ("U", "T", "TT")},
+    **{f"algebra-{family}-18-json": ["algebra", "--family", family, "--n", "18", "--allow-large",
+                                     "--check", "--format", "json"]
+       for family in ("T", "TT")},
     "budget-matrix": ["matrix", "--n", "161"],
     "budget-verify": ["verify", "--suite", "pascal", "--max-n", "25"],
     "budget-r": ["matrix", "--n", "40", "--r", "1e1000"],
     "budget-r-digits": ["matrix", "--n", "6", "--r", "1000000/999999"],
     "budget-r-count": ["verify", "--suite", "pascal", "--max-n", "2",
                        *(f"--r={k}" for k in range(21))],
-    "budget-algebra": ["algebra", "--family", "U", "--n", "13"],
-    "budget-algebra-large": ["algebra", "--family", "U", "--n", "19", "--allow-large"],
+    "budget-algebra": ["algebra", "--family", "U", "--n", "19"],
+    "budget-algebra-large": ["algebra", "--family", "U", "--n", "33", "--allow-large"],
     "bad-zeon-token": ["zeon", "--n", "2", "--op", "foo"],
     "bad-zeon-index": ["zeon", "--n", "2", "--op", "raise:x"],
 }
