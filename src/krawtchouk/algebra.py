@@ -19,8 +19,8 @@ integer roots, multiplicities from traces) and merge across blocks. Else
 each block's image of A is closed: a block of all m x m matrices is one
 component, and any other takes the generic step, its center, a central
 element s, its eigenvalues, and the component degrees d_i^2 = dim P_i(s) A.
-Certificates tie the blocks to the ring: the traces, the dimensions, and
-sum m_i d_i = d.
+Certificates tie the blocks to the ring: the traces, the generators'
+products, the dimensions, and sum m_i d_i = d.
 
 algebra_stats runs it on the matrices it is given and, when a certificate
 fails, takes zeta from the center's routine over the d^2 unit matrices.
@@ -357,7 +357,8 @@ def _stats(ring, gens: list, d: int) -> tuple[int, int | None, ComponentSpec | N
     certificate fails, and z too when that happens before the center is known,
     which needs more than one block. d is not read from ring.trace, so
     sum m_i d_i = d checks the traces; the blocks' weighted traces must equal
-    ring.trace on A's basis."""
+    ring.trace on A's basis, and the block map must take the product of every
+    ordered pair of generators to the product of their images."""
     one = ring.identity()
     basis = _span_closure(ring, gens, [one] + gens)
     delta = len(basis)
@@ -372,10 +373,15 @@ def _stats(ring, gens: list, d: int) -> tuple[int, int | None, ComponentSpec | N
             ring.trace(b) != sum(w * tr for (w, _), tr in zip(blocks, ring.block_traces(b)))
             for b in basis):
         return delta, z, None
+    images = [ring.block_images(g) for g in gens]
+    if any(ring.block_images(ring.mul(g, h))
+           != [block.mul(x, y) for (_, block), x, y in zip(blocks, gx, hx)]
+           for g, gx in zip(gens, images) for h, hx in zip(gens, images)):
+        return delta, z, None
     if commutative:
         comps = _commutative_components(ring, gens, blocks)
     else:
-        z, comps = _block_components(ring, gens, blocks, basis)
+        z, comps = _block_components(ring, blocks, basis, images)
     if comps is None:
         return delta, z, None
     spec = ComponentSpec(tuple(comps))
@@ -400,11 +406,12 @@ def _commutative_components(ring, gens: list, blocks: list) -> list | None:
     return [(mus[lam], 1) for lam in sorted(mus)]
 
 
-def _block_components(ring, gens: list, blocks: list,
-                      basis: list) -> tuple[int | None, list | None]:
-    """(z, components) of a non-commutative A from its image in every block;
-    z is None if those images do not add up to A."""
-    images = [list(bgens) for bgens in zip(*map(ring.block_images, gens))]
+def _block_components(ring, blocks: list, basis: list,
+                      gen_images: list) -> tuple[int | None, list | None]:
+    """(z, components) of a non-commutative A from its image in every block,
+    given each generator's block images; z is None if those images do not
+    add up to A."""
+    images = [list(bgens) for bgens in zip(*gen_images)]
     closures = [basis if block is ring else _span_closure(block, bgens, [block.identity()])
                 for (_, block), bgens in zip(blocks, images)]
     if sum(map(len, closures)) != len(basis):
@@ -546,7 +553,8 @@ def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | 
     basis: the span closure there, the Wedderburn step in Schrijver's blocks
     (OrbitBasis.blocks). None when a certificate fails: a division of the
     block map that leaves a remainder, the weighted block traces against
-    OrbitBasis.trace, the block dimensions against delta, integer
+    OrbitBasis.trace, the generators' products against their block images'
+    products, the block dimensions against delta, integer
     eigenvalues and multiplicities, or sum m_i d_i = 2^n."""
     orbits = OrbitBasis(n)
     delta, z, comps = _stats(orbits, _orbit_generators(orbits, family), 1 << n)

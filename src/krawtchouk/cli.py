@@ -79,11 +79,6 @@ def join_negative_r(argv: list[str]) -> list[str]:
     return out
 
 
-def pool_size(jobs: int, n_tasks: int) -> int:
-    """Worker processes for --jobs: never more than the CPUs or the tasks."""
-    return max(1, min(jobs, os.cpu_count() or 1, n_tasks))
-
-
 def parse_rational(text: str) -> Fraction:
     """An r within the MAX_R_DIGITS budget. An exponent of five or more digits
     is refused before Fraction forms 10**exponent: 1e10000000 takes 12 s."""
@@ -101,10 +96,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# suite task functions (top-level so that --jobs can pickle them)
+# suite functions: each checks one level or one range and returns its report
 # ---------------------------------------------------------------------------
 
-def _t_sums(N: int, r_list: tuple[Fraction, ...]) -> IdentityReport:
+def _t_sums(N: int, r_list: list[Fraction]) -> IdentityReport:
     """All summation identities at one level N: the general-r theorem, its
     symmetric specialization, plain partial sums, the column-sum relation,
     and full row/column sums of squares. Each column is swept once per
@@ -226,34 +221,29 @@ def _t_injected_fault() -> IdentityReport:
     return rep
 
 
-def _run_task(task):
-    fn, args = task
-    return fn(*args)
-
-
-# suite name -> its tasks up to level top at the r values rs, in the order the suites run
+# suite name -> its reports up to level top at the r values rs, in the order the suites run
 SUITES = {
-    "pascal": lambda top, rs: [(verify_pascal, (N, r)) for N in range(top + 1) for r in rs],
-    "recurrence": lambda top, rs: [(verify_recurrence_j, (N, r))
+    "pascal": lambda top, rs: [verify_pascal(N, r) for N in range(top + 1) for r in rs],
+    "recurrence": lambda top, rs: [verify_recurrence_j(N, r)
                                    for N in range(1, top + 1) for r in rs],
-    "involution": lambda top, rs: [(verify_involution, (N,)) for N in range(top + 1)],
-    "symmetries": lambda top, rs: [(verify_sign_symmetries, (N,)) for N in range(top + 1)],
-    "rows-cols": lambda top, rs: [(closed_form_row1_col01, (N,)) for N in range(top + 1)],
-    "conjugation": lambda top, rs: [(verify_binomial_conjugation, (N,)) for N in range(top + 1)],
-    "sums": lambda top, rs: [(_t_sums, (N, tuple(rs))) for N in range(1, top + 1)]
-        + [(_t_colsquares_integrality, (max(top, 20),))],
-    "catalan": lambda top, rs: [(_t_central_rows, (N,)) for N in range(max(top, 14) + 1)]
-        + [(catalan_connection_report, (m,)) for m in range(1, top + 1)]
-        + [(_t_column_square_link, (m,)) for m in range(top + 1)],
-    "supercatalan": lambda top, rs: [(_t_supercatalan, (max(top, 15),))],
-    "zeon": lambda top, rs: [(_t_zeon, (n,)) for n in range(1, min(top, 8) + 1)],
+    "involution": lambda top, rs: [verify_involution(N) for N in range(top + 1)],
+    "symmetries": lambda top, rs: [verify_sign_symmetries(N) for N in range(top + 1)],
+    "rows-cols": lambda top, rs: [closed_form_row1_col01(N) for N in range(top + 1)],
+    "conjugation": lambda top, rs: [verify_binomial_conjugation(N) for N in range(top + 1)],
+    "sums": lambda top, rs: [_t_sums(N, rs) for N in range(1, top + 1)]
+        + [_t_colsquares_integrality(max(top, 20))],
+    "catalan": lambda top, rs: [_t_central_rows(N) for N in range(max(top, 14) + 1)]
+        + [catalan_connection_report(m) for m in range(1, top + 1)]
+        + [_t_column_square_link(m) for m in range(top + 1)],
+    "supercatalan": lambda top, rs: [_t_supercatalan(max(top, 15))],
+    "zeon": lambda top, rs: [_t_zeon(n) for n in range(1, min(top, 8) + 1)],
 }
 SUITE_NAMES = [*SUITES, "all"]
 
 
-def _build_tasks(suites: list[str], max_n: int, r_list: list[Fraction]):
-    return [task for name, tasks in SUITES.items() if name in suites or "all" in suites
-            for task in tasks(max_n, r_list)]
+def _reports(suites: list[str], max_n: int, r_list: list[Fraction]) -> list[IdentityReport]:
+    return [report for name, run in SUITES.items() if name in suites or "all" in suites
+            for report in run(max_n, r_list)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +299,9 @@ def cmd_verify(args) -> int:
         raise ValueError(
             f"--r given {len(args.r)} times exceeds the budget ({MAX_R_VALUES} values)")
     t0 = time.monotonic()
-    tasks = _build_tasks(args.suite, args.max_n, args.r)
+    reports = _reports(args.suite, args.max_n, args.r)
     if args.inject_fault:
-        tasks.append((_t_injected_fault, ()))
-    workers = pool_size(args.jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_task, tasks))
-    else:
-        reports = [_run_task(t) for t in tasks]
+        reports.append(_t_injected_fault())
     wall = time.monotonic() - t0
 
     total_cases = sum(r.cases for r in reports)
@@ -333,7 +315,7 @@ def cmd_verify(args) -> int:
                 "suite": args.suite,
                 "max_n": args.max_n,
                 "r": [f"{x.numerator}/{x.denominator}" for x in args.r],
-                "jobs": args.jobs,
+                "jobs": 1,  # schema 1 keeps the key; verify runs in this process
             },
             "suites": [r.to_json() for r in reports],
             "total_cases": total_cases,
@@ -431,7 +413,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
     p.add_argument("--r", type=parse_rational, action="append", default=None)
     _add_format(p, ["text", "json"])
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
@@ -465,8 +446,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         if args.max_n < 0:
             parser.error("--max-n must be nonnegative")
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
         if args.r is None:
             args.r = list(DEFAULT_R_LIST)
     if args.command == "zeon" and not 1 <= args.n <= 12:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from krawtchouk import algebra, cli, matrices
-from krawtchouk.cli import main, pool_size
+from krawtchouk.cli import main
 from krawtchouk.report import Failure, render_side
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,7 +112,7 @@ def test_verify_unknown_suite_exits_2():
 
 @pytest.mark.parametrize("argv,message", [
     (["--max-n", "-1"], "--max-n must be nonnegative"),
-    (["--jobs", "0"], "--jobs must be >= 1"),
+    (["--jobs", "2"], "unrecognized arguments: --jobs 2"),  # verify runs in one process
 ], ids=["max-n", "jobs"])
 def test_verify_a_size_below_its_range_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -129,19 +129,41 @@ def test_verify_injected_fault_exits_1(capsys):
     assert "injected-fault" in out and "FAIL" in out
 
 
+def test_verify_injected_fault_follows_every_suite_and_changes_none(capsys):
+    base = ("verify", "--suite", "pascal", "--suite", "zeon", "--max-n", "2", "--format", "json")
+    _, clean, _ = run(capsys, *base)
+    code, faulty, _ = run(capsys, *base, "--inject-fault")
+    clean, faulty = json.loads(clean), json.loads(faulty)
+    assert code == 1 and faulty["exit_code"] == 1
+    assert faulty["suites"][:-1] == clean["suites"]
+    assert faulty["suites"][-1]["suite"] == "injected-fault"
+    assert faulty["suites"][-1]["failure_count"] > 0
+
+
+def test_verify_json_invocation_records_one_job(capsys):
+    # schema 1 keeps the key: every suite runs in the calling process
+    code, out, _ = run(capsys, "verify", "--suite", "symmetries", "--max-n", "4",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["invocation"]["jobs"] == 1
+
+
+def test_verify_all_is_every_suite_in_table_order(capsys):
+    base = ("verify", "--max-n", "3", "--r", "1", "--r", "-2/3", "--format", "json")
+    code, out, _ = run(capsys, *base, "--suite", "all")
+    assert code == 0
+    one_by_one = []
+    for suite in cli.SUITES:
+        _, part, _ = run(capsys, *base, "--suite", suite)
+        one_by_one += json.loads(part)["suites"]
+    assert json.loads(out)["suites"] == one_by_one
+
+
 def test_verify_deterministic_output(capsys):
     args = ("verify", "--suite", "sums", "--max-n", "5", "--format", "json")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
-
-
-def test_verify_jobs_matches_sequential(capsys):
-    base = ("verify", "--suite", "symmetries", "--max-n", "6", "--format", "json")
-    _, out1, _ = run(capsys, *base)
-    _, out2, _ = run(capsys, *base, "--jobs", "2")
-    doc1, doc2 = json.loads(out1), json.loads(out2)
-    assert doc1["suites"] == doc2["suites"]
 
 
 def test_suites_run_in_table_order_whatever_the_argv_order(capsys):
@@ -153,13 +175,17 @@ def test_suites_run_in_table_order_whatever_the_argv_order(capsys):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # --jobs 1, the default, runs in this process; only a pool needs multiprocessing
-    probe = ("import sys, krawtchouk.cli; "
-             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    # verify runs every suite in this process: neither the import nor a run starts a pool
+    probe = "\n".join([
+        "import contextlib, io, sys, krawtchouk.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = krawtchouk.cli.main(['verify', '--suite', 'all', '--max-n', '3'])",
+        "print(code, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))",
+    ])
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "0 []\n"
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
@@ -171,13 +197,6 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
-
-
-def test_verify_all_jobs_pickles_every_task_and_keeps_stdout(capsys):
-    base = ("verify", "--suite", "all", "--max-n", "3", "--r", "1", "--r", "-2/3")
-    _, sequential, _ = run(capsys, *base)
-    code, pooled, _ = run(capsys, *base, "--jobs", "2")
-    assert code == 0 and pooled == sequential
 
 
 def test_zeon_u_diagonal(capsys):
@@ -227,28 +246,6 @@ def test_sums_sweeps_the_general_theorem_once_per_r_and_column(monkeypatch, r_li
     monkeypatch.setattr(cli, "sweep_sum_squares_general", counting)
     assert cli._t_sums(4, tuple(r_list)).ok
     assert len(calls) == per_column * 5  # columns j = 0..4
-
-
-def test_pool_size_is_clamped_to_cpus_and_tasks(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert pool_size(1, 50) == 1
-    assert pool_size(3, 50) == 3
-    assert pool_size(10**6, 50) == 4
-    assert pool_size(10**6, 2) == 2
-    assert pool_size(2, 0) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert pool_size(8, 50) == 1
-
-
-def test_verify_reports_the_requested_jobs(capsys, monkeypatch):
-    # one CPU: the pool is clamped away and the tasks run in this process
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    base = ("verify", "--suite", "symmetries", "--max-n", "4", "--format", "json")
-    _, sequential, _ = run(capsys, *base)
-    code, clamped, _ = run(capsys, *base, "--jobs", "64")
-    assert code == 0
-    assert json.loads(clamped)["invocation"]["jobs"] == 64
-    assert json.loads(clamped)["suites"] == json.loads(sequential)["suites"]
 
 
 def test_zeon_bad_token_exits_2(capsys):
@@ -332,7 +329,6 @@ def test_main_reuses_its_parser_and_reads_the_env_var_per_call(capsys, monkeypat
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
-    monkeypatch.delenv("KRAWTCHOUK_FORMAT", raising=False)
     code, out, _ = run(capsys, "matrix", "--n", "1", "--r", "1")
     assert (code, out) == (0, " 1  1\n 1 -1\n")
     monkeypatch.setenv("KRAWTCHOUK_FORMAT", "json")
@@ -528,7 +524,8 @@ RATIONALS = ["1", "0", "-1", "2", "3/7", "-5/9", "1/2", "-2/3", "1.5", "-999/100
 # some budget: 161 for matrix, 25 for verify, 13 for zeon, 19 for the default
 # algebra budget, 33 for algebra with --allow-large
 BAD_TOKENS = ["", "x", "--bogus", "-", "1.5.2", "0x10", "--n", "1/0", "0/0", "1/-2",
-              "-1/-2", "abc", "1//2", "/3", "-1", "0", "13", "19", "25", "33", "161", "100000"]
+              "-1/-2", "abc", "1//2", "/3", "-1", "0", "13", "19", "25", "33", "161", "100000",
+              "--jobs"]
 
 
 def flag(name, values):
@@ -541,7 +538,7 @@ def flat(parts):
 
 
 # argv inside every budget: matrix --n <= 12, verify --max-n <= 5, zeon and
-# algebra --n <= 4, --jobs 1 or 2
+# algebra --n <= 4
 MATRIX_ARGV = st.tuples(
     st.just(["matrix", "--n"]), st.integers(0, 12).map(lambda n: [str(n)]),
     flag("--r", st.sampled_from(RATIONALS)),
@@ -553,7 +550,6 @@ VERIFY_ARGV = st.tuples(
         lambda suites: flat(["--suite", s] for s in suites)),
     flag("--max-n", st.integers(0, 5)),
     st.lists(st.sampled_from(RATIONALS), max_size=3).map(lambda rs: flat(["--r", r] for r in rs)),
-    flag("--jobs", st.sampled_from([1, 2])),
     flag("--format", st.sampled_from(["text", "json"])),
     st.sampled_from([[], ["--inject-fault"]]),
 ).map(flat)
@@ -573,15 +569,12 @@ ALGEBRA_ARGV = st.tuples(
 
 @st.composite
 def fuzzed_argv(draw):
-    """A valid argv, or one with a token replaced, inserted or deleted. A --jobs
-    value is never replaced, so no call asks for more than two workers."""
+    """A valid argv, or one with a token replaced, inserted or deleted."""
     argv = draw(st.one_of(MATRIX_ARGV, VERIFY_ARGV, ZEON_ARGV, ALGEBRA_ARGV))
     edit = draw(st.sampled_from(["none", "replace", "insert", "delete"]))
     if edit == "none":
         return argv
-    spots = [i for i in range(len(argv) + (edit == "insert"))
-             if i == 0 or argv[i - 1] != "--jobs"]
-    i = draw(st.sampled_from(spots))
+    i = draw(st.integers(0, len(argv) - (edit != "insert")))
     if edit == "delete":
         return argv[:i] + argv[i + 1:]
     token = [draw(st.sampled_from(BAD_TOKENS))]
@@ -594,8 +587,7 @@ def _timed_out(signum, frame):
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=fuzzed_argv())
-def test_fuzzed_argv_exits_0_1_or_2_without_traceback(capsys, monkeypatch, argv):
-    monkeypatch.delenv("KRAWTCHOUK_FORMAT", raising=False)
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(capsys, argv):
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(CALL_SECONDS)
     try:

@@ -96,9 +96,12 @@ def test_every_golden_file_belongs_to_the_corpus():
 
 
 def _capture() -> None:
+    """Rewrite the golden files, with the default formats whatever the shell sets."""
     import contextlib
     import io
+    import os
 
+    os.environ.pop("KRAWTCHOUK_FORMAT", None)
     codes = {}
     for name, argv in sorted(CORPUS.items()):
         out = io.StringIO()

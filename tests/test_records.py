@@ -1,5 +1,5 @@
 """The value classes built on report.Record: construction, equality, hashing,
-pickling and repr, as the callers and the --jobs pool use them."""
+pickling and repr, as the callers use them."""
 import pickle
 from fractions import Fraction
 
