@@ -5,28 +5,21 @@ the degree d, the dimension delta of the generated unital algebra A, the
 dimension zeta of its centralizer, and the dimension z of its center, all
 exactly over the rationals (fraction-free, on integers).
 
-One method, _stats, runs in either of two rings: MatrixRing(d), the d x d
-matrices as rows of the sparse kernel, and orbits.OrbitBasis(n), the
-S_n-invariant 2^n x 2^n matrices as vectors over the C(n+3, 3) orbit
-matrices. The span closure gives A and delta. For a generator set closed
-under transpose the Wedderburn step follows, block by block: a ring maps
-its elements into blocks, each a module for A with a weight. MatrixRing is
-one block, itself; the orbit basis has Schrijver's block diagonalisation
-(A. Schrijver, IEEE Trans. Inf. Theory 51, 2005), n//2 + 1 blocks of size
-at most n + 1. For commuting generators the eigenvalues of one element
-c = sum t^k g_k come from each block's image of c (minimal polynomial,
-integer roots, multiplicities from traces) and merge across blocks. Else
-each block's image of A is closed: a block of all m x m matrices is one
-component, and any other takes the generic step, its center, a central
-element s, its eigenvalues, and the component degrees d_i^2 = dim P_i(s) A.
-Certificates tie the blocks to the ring: the traces, the generators'
-products, the dimensions, and sum m_i d_i = d.
+algebra_stats computes them by the definitions on the d x d matrices: delta
+is the size of A's span closure, z and zeta count the combinations of that
+basis and of the d^2 unit matrices that commute with every generator. It is
+the tests' elimination oracle.
 
-algebra_stats runs it on the matrices it is given and, when a certificate
-fails, takes zeta from the center's routine over the d^2 unit matrices.
-analyze_family runs it on the three operator families over the Boolean
-lattice in the orbit basis, the only path (algebra_stats on the 2^n matrices
-is the tests' oracle), and compares the result with the closed forms.
+analyze_family computes them for the three operator families over the
+Boolean lattice in orbits.OrbitBasis(n), the S_n-invariant 2^n x 2^n
+matrices as vectors over the C(n+3, 3) orbit matrices, and compares them
+with the closed forms. _stats takes the span closure there (delta) and reads
+the Wedderburn components off Schrijver's block diagonalisation (A.
+Schrijver, IEEE Trans. Inf. Theory 51, 2005), n//2 + 1 blocks of size at
+most n + 1: for T every block's image of A is all m x m matrices, one
+component; for U and TT every generator's block image is diagonal, and each
+distinct tuple of joint eigenvalues is a component of degree 1.
+Certificates tie the blocks to the orbit basis; any other shape fails one.
 """
 from __future__ import annotations
 
@@ -103,20 +96,6 @@ def _as_rows(mat) -> tuple[int, dict[int, dict[int, int]]]:
             rows[i] = vals
     denom = math.lcm(*(v.denominator for r in rows.values() for v in r.values()))
     return d, {i: {j: int(v * denom) for j, v in r.items()} for i, r in rows.items()}
-
-
-class MatrixRing(RowsRing):
-    """The d x d matrices the generators are given as, a ring of one block for
-    _stats: itself, with weight 1."""
-
-    def blocks(self) -> list[tuple[int, RowsRing]]:
-        return [(1, self)]
-
-    def block_images(self, rows: dict) -> list[dict]:
-        return [rows]
-
-    def block_traces(self, rows: dict) -> list[int]:
-        return [self.trace(rows)]
 
 
 class ExactEchelon:
@@ -208,7 +187,7 @@ def span_closure_dimension(generators) -> int:
     """Dimension of the unital algebra generated by the given matrices: the span
     of the identity and the generators, each times every word in the generators."""
     d, gens = _prepare(generators)
-    ring = MatrixRing(d)
+    ring = RowsRing(d)
     return len(_span_closure(ring, gens, [ring.identity()] + gens))
 
 
@@ -216,13 +195,13 @@ def centralizer_dimension(generators) -> int:
     """Dimension of the space of matrices commuting with every generator."""
     d, gens = _prepare(generators)
     units = ({k: {l: 1}} for k in range(d) for l in range(d))
-    return len(_commuting(MatrixRing(d), gens, units))
+    return len(_commuting(RowsRing(d), gens, units))
 
 
 def center_dimension(generators) -> int:
     """Dimension of the center: algebra elements commuting with all generators."""
     d, gens = _prepare(generators)
-    ring = MatrixRing(d)
+    ring = RowsRing(d)
     return len(_commuting(ring, gens, _span_closure(ring, gens, [ring.identity()] + gens)))
 
 
@@ -247,208 +226,81 @@ def _commuting(ring, gens: list, elements) -> list[dict[int, int]]:
     return _relations(map(commutators, elements), len(gens) * width)
 
 
+def algebra_stats(generators) -> AlgebraStats:
+    """(d, delta, zeta, z) of the generated unital algebra by the definitions on
+    the d x d matrices: span_closure_dimension, centralizer_dimension and
+    center_dimension."""
+    d, _ = _prepare(generators)
+    return AlgebraStats(d=d, delta=span_closure_dimension(generators),
+                        zeta=centralizer_dimension(generators), z=center_dimension(generators))
+
+
 # ---------------------------------------------------------------------------
-# Wedderburn components from central elements, block by block
+# Wedderburn components read off the blocks
 # ---------------------------------------------------------------------------
 #
 # A generator set closed under transpose generates a *-algebra A, which is
 # semisimple: A = sum_i M_{d_i}, the i-th component acting on V = Q^d with
-# multiplicity m_i. Every central element c acts as a scalar lambda_i on the
-# mu_i = m_i d_i dimensions of component i, so tr c^k = sum_i mu_i lambda_i^k.
-# If c's minimal polynomial has degree z and z integer roots, c separates the
-# z components: P_i(c) (from _lagrange) is a nonzero multiple of component
-# i's central idempotent e_i, and the span of P_i(c) times the words in the
-# generators is e_i A, of dimension d_i^2. Then zeta = sum m_i^2.
-#
-# _stats takes these steps in the blocks of its ring (see the module
-# docstring). For commuting generators an eigenvalue of c found in several
-# blocks is one component, its multiplicity summed over them by weight;
-# otherwise the blocks' dimensions must add up to delta, so that no component
-# occurs in two blocks.
+# multiplicity m_i, and z = the number of components, zeta = sum m_i^2. A ring
+# with blocks splits V into modules for A, each with a weight (how often it
+# occurs). In Schrijver's blocks the families take one of two shapes, and
+# _stats reads the components off either; any other shape fails a certificate.
 
-def _roots_above(poly: list[int], a: int) -> int:
-    """The sign variations of poly(x + a), coefficients low to high: by
-    Descartes' rule, the number of roots above a plus an even number."""
-    q = list(poly)
-    for i in range(len(q) - 1):  # Taylor shift by a, in place
-        for k in range(len(q) - 2, i - 1, -1):
-            q[k] += a * q[k + 1]
-    signs = [v > 0 for v in q if v != 0]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _integer_roots(poly: list[int], bound: int) -> list[int] | None:
-    """Integer roots in [-bound, bound] of a squarefree polynomial, ascending,
-    or None if a real root there is not an integer.
-
-    Bisects integer intervals (lo, hi] on V(a) = _roots_above(poly, a). By
-    Budan's theorem V(lo) - V(hi) is the number of roots in (lo, hi] plus an
-    even number: 0 means no root, and on a unit interval 1 means one root,
-    an integer iff it is hi, which evaluation checks; a larger count there is
-    refused. A pair of complex roots need not show, so the list holds every
-    root only if its length is the degree.
-    """
-    roots: list[int] = []
-    stack = [(-bound - 1, bound, _roots_above(poly, -bound - 1), _roots_above(poly, bound))]
-    while stack:
-        lo, hi, above_lo, above_hi = stack.pop()
-        if above_lo == above_hi:
-            continue
-        if hi - lo == 1:
-            if above_lo - above_hi > 1 or sum(c * hi**k for k, c in enumerate(poly)) != 0:
-                return None
-            roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        above_mid = _roots_above(poly, mid)
-        stack += [(mid, hi, above_mid, above_hi), (lo, mid, above_lo, above_mid)]
-    return roots
-
-
-def _lagrange(roots: list[int], lam: int) -> list[int]:
-    """P = prod (x - mu) over the roots mu other than lam, coefficients low to
-    high: P(c) is P(lam) times the central idempotent of c's lam-eigenspace."""
-    poly = [1]
-    for mu in roots:
-        if mu != lam:
-            poly = [a - mu * b for a, b in zip([0] + poly, poly + [0])]
-    return poly
-
-
-def _multiplicities(roots: list[int], traces: list[int]) -> list[int] | None:
-    """The mu_i with sum_i mu_i roots[i]^k = traces[k] for k < len(roots), by
-    Lagrange over the integers: mu_i = tr P_i(c) / P_i(roots[i]), with P_i from
-    _lagrange; None unless all are positive integers."""
-    mus = []
-    for lam in roots:
-        m, rem = divmod(sum(p * t for p, t in zip(_lagrange(roots, lam), traces)),
-                        math.prod(lam - mu for mu in roots if mu != lam))
-        if rem or m < 1:
+def _full_blocks(blocks: list, images: list) -> list | None:
+    """(weight, m) per block of m x m matrices, if the block's images of the
+    generators close to all m^2 of them; None otherwise."""
+    for (_, block), bgens in zip(blocks, images):
+        if len(_span_closure(block, list(bgens), [block.identity()])) != block.d ** 2:
             return None
-        mus.append(m)
-    return mus
+    return [(weight, block.d) for weight, block in blocks]
 
 
-def _eigenvalues(ring, c, bound: int) -> tuple[list[int], list[int], list] | None:
-    """(roots, mus, powers): c's eigenvalues ascending, the dimensions of their
-    eigenspaces, and I, c, ..., c^(m-1) for the degree m of c's minimal
-    polynomial; None unless its m roots are integers in [-bound, bound] (then c
-    is diagonalizable) and the mus positive integers. The minimal polynomial is
-    the first relation among the powers of c, from one tagged echelon as in
-    _relations."""
-    width, ech, powers = ring.size, ExactEchelon(), [ring.identity()]
-    while True:
-        ech.insert({**ring.vec(powers[-1]), width + len(powers) - 1: 1})
-        minpoly = next((piv for lead, piv in ech.pivots.items() if lead >= width), None)
-        if minpoly:
-            break
-        powers.append(ring.mul(powers[-1], c))
-    powers.pop()  # c^m
-    roots = _integer_roots([minpoly.get(width + k, 0) for k in range(len(powers) + 1)], bound)
-    if roots is None or len(roots) != len(powers):
-        return None
-    mus = _multiplicities(roots, [ring.trace(p) for p in powers])
-    return None if mus is None else (roots, mus, powers)
+def _diagonal_blocks(blocks: list, images: list) -> list | None:
+    """(m, 1) per distinct tuple of the generators' joint eigenvalues,
+    ascending, if every generator's image in every block is diagonal: m counts
+    the positions of the tuple on the diagonals, each by its block's weight;
+    None otherwise."""
+    multiplicity: dict[tuple, int] = {}
+    for (weight, block), bgens in zip(blocks, images):
+        if any(i != j for x in bgens for i, row in x.items() for j in row):
+            return None
+        for a in range(block.d):
+            joint = tuple(x.get(a, {}).get(a, 0) for x in bgens)
+            multiplicity[joint] = multiplicity.get(joint, 0) + weight
+    return [(multiplicity[joint], 1) for joint in sorted(multiplicity)]
 
 
-def _stats(ring, gens: list, d: int) -> tuple[int, int | None, ComponentSpec | None]:
-    """(delta, z, components) of the unital algebra A that gens generate in ring,
-    whose elements are d x d matrices; the components are None when a
-    certificate fails, and z too when that happens before the center is known,
-    which needs more than one block. d is not read from ring.trace, so
-    sum m_i d_i = d checks the traces; the blocks' weighted traces must equal
-    ring.trace on A's basis, and the block map must take the product of every
-    ordered pair of generators to the product of their images."""
-    one = ring.identity()
-    basis = _span_closure(ring, gens, [one] + gens)
-    delta = len(basis)
-    commutative = all(ring.mul(g, h) == ring.mul(h, g)
-                      for i, g in enumerate(gens) for h in gens[i + 1:])
+def _stats(ring, gens: list, d: int) -> tuple[AlgebraStats, ComponentSpec] | None:
+    """The statistics and the components of the unital algebra A that gens
+    generate in ring, whose elements are d x d matrices, read off the ring's
+    blocks: by _full_blocks for generators that do not commute, else by
+    _diagonal_blocks. None when a certificate fails: gens closed under
+    transpose; on A's basis the blocks' weighted traces equal ring.trace; the
+    block images of every product g h of two generators are the products of
+    their images; sum m_i d_i = d, the blocks by weight fill Q^d; and
+    sum d_i^2 = delta, the blocks' images add up to A."""
     if any(ring.transpose(g) not in gens for g in gens):
-        # not a *-algebra: semisimplicity is not guaranteed
-        return delta, delta if commutative else len(_commuting(ring, gens, basis)), None
+        return None  # not a *-algebra: semisimplicity is not guaranteed
+    basis = _span_closure(ring, gens, [ring.identity()] + gens)
     blocks = ring.blocks()
-    z = delta if commutative else None  # a commutative A is its own center
     if blocks is None or any(
             ring.trace(b) != sum(w * tr for (w, _), tr in zip(blocks, ring.block_traces(b)))
             for b in basis):
-        return delta, z, None
+        return None
     images = [ring.block_images(g) for g in gens]
-    if any(ring.block_images(ring.mul(g, h))
-           != [block.mul(x, y) for (_, block), x, y in zip(blocks, gx, hx)]
-           for g, gx in zip(gens, images) for h, hx in zip(gens, images)):
-        return delta, z, None
-    if commutative:
-        comps = _commutative_components(ring, gens, blocks)
-    else:
-        z, comps = _block_components(ring, blocks, basis, images)
+    products = {(i, j): ring.mul(g, h) for i, g in enumerate(gens) for j, h in enumerate(gens)}
+    if any(ring.block_images(prod) != [block.mul(x, y) for (_, block), x, y
+                                       in zip(blocks, images[i], images[j])]
+           for (i, j), prod in products.items()):
+        return None
+    commutative = all(prod == products[j, i] for (i, j), prod in products.items())
+    comps = (_diagonal_blocks if commutative else _full_blocks)(blocks, list(zip(*images)))
     if comps is None:
-        return delta, z, None
+        return None
     spec = ComponentSpec(tuple(comps))
-    return delta, z, spec if spec.degree_sum == d and spec.dimension == delta else None
-
-
-def _commutative_components(ring, gens: list, blocks: list) -> list | None:
-    """(mu, 1) per eigenvalue of c = sum_k t^k g_k, ascending: every block's
-    eigenvalues of c, with mu the weighted sum of their multiplicities."""
-    # t = 2B + 1, |eigenvalue of g_k| <= B: joint eigenvalues of the generators
-    # are the base-t numbers with digits in [-B, B], so two components with
-    # different ones take different eigenvalues of c
-    t = 2 * max(map(ring.row_sum_bound, gens)) + 1
-    c = ring.combine((t ** k, g) for k, g in enumerate(gens))
-    bound, mus = ring.row_sum_bound(c), {}
-    for (weight, block), image in zip(blocks, ring.block_images(c)):
-        eigen = _eigenvalues(block, image, bound)
-        if eigen is None:
-            return None
-        for lam, mu in zip(eigen[0], eigen[1]):
-            mus[lam] = mus.get(lam, 0) + weight * mu
-    return [(mus[lam], 1) for lam in sorted(mus)]
-
-
-def _block_components(ring, blocks: list, basis: list,
-                      gen_images: list) -> tuple[int | None, list | None]:
-    """(z, components) of a non-commutative A from its image in every block,
-    given each generator's block images; z is None if those images do not
-    add up to A."""
-    images = [list(bgens) for bgens in zip(*gen_images)]
-    closures = [basis if block is ring else _span_closure(block, bgens, [block.identity()])
-                for (_, block), bgens in zip(blocks, images)]
-    if sum(map(len, closures)) != len(basis):
-        return None, None
-    # a block of m x m matrices (m = block.d) whose image is all of them is one
-    # component; any other needs its center
-    centers = [None if len(closure) == block.d ** 2 else _commuting(block, bgens, closure)
-               for (_, block), bgens, closure in zip(blocks, images, closures)]
-    z = sum(1 if center is None else len(center) for center in centers)
-    comps = []
-    for (weight, block), bgens, closure, center in zip(blocks, images, closures, centers):
-        if center is None:
-            comps.append((weight, block.d))
-            continue
-        s = block.combine((w * v, closure[k])
-                          for w, element in enumerate(center, start=1) for k, v in element.items())
-        eigen = _eigenvalues(block, s, block.row_sum_bound(s))
-        if eigen is None or len(eigen[0]) != len(center):
-            return z, None  # s does not separate the center's components over Q
-        roots, mus, powers = eigen
-        for lam, mu in zip(roots, mus):
-            ideal = block.combine(zip(_lagrange(roots, lam), powers))
-            dim = len(_span_closure(block, bgens, [ideal]))
-            degree = math.isqrt(dim)
-            if degree * degree != dim or mu % degree:
-                return z, None
-            comps.append((weight * mu // degree, degree))
-    return z, comps
-
-
-def algebra_stats(generators) -> tuple[AlgebraStats, ComponentSpec | None]:
-    """(d, delta, zeta, z) of the generated unital algebra, and its computed
-    components, or None for them when zeta came from the unit-matrix fallback."""
-    d, gens = _prepare(generators)
-    delta, z, comps = _stats(MatrixRing(d), gens, d)
-    zeta = comps.centralizer_dim if comps else centralizer_dimension(generators)
-    return AlgebraStats(d=d, delta=delta, zeta=zeta, z=z), comps
+    if spec.degree_sum != d or spec.dimension != len(basis):
+        return None
+    return AlgebraStats(d=d, delta=len(basis), zeta=spec.centralizer_dim, z=spec.count), spec
 
 
 # ---------------------------------------------------------------------------
@@ -549,26 +401,20 @@ def _orbit_generators(orbits: OrbitBasis, family: Family) -> list[dict[int, int]
 
 
 def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | None:
-    """algebra_stats(family_generators(family, n)), computed in the S_n orbit
-    basis: the span closure there, the Wedderburn step in Schrijver's blocks
-    (OrbitBasis.blocks). None when a certificate fails: a division of the
-    block map that leaves a remainder, the weighted block traces against
-    OrbitBasis.trace, the generators' products against their block images'
-    products, the block dimensions against delta, integer
-    eigenvalues and multiplicities, or sum m_i d_i = 2^n."""
+    """algebra_stats(family_generators(family, n)) and the components, computed
+    by _stats in the S_n orbit basis and Schrijver's blocks (OrbitBasis.blocks).
+    None when a certificate of _stats fails, or a division of the block map
+    leaves a remainder."""
     orbits = OrbitBasis(n)
-    delta, z, comps = _stats(orbits, _orbit_generators(orbits, family), 1 << n)
-    if comps is None:
-        return None
-    return AlgebraStats(d=1 << n, delta=delta, zeta=comps.centralizer_dim, z=z), comps
+    return _stats(orbits, _orbit_generators(orbits, family), 1 << n)
 
 
 class AlgebraComparison(Record):
     FIELDS = ("family", "n", "computed", "predicted", "components", "matches", "notes",
               "computed_components")
     # computed_components: (m_i, d_i) per Wedderburn component. For U and TT
-    # they ascend by the eigenvalue of c that separated them; for T they are
-    # Schrijver's blocks in order, k = 0..n//2, degree n + 1 - 2k. Library
+    # they ascend by the tuple of the generators' joint eigenvalues; for T they
+    # are Schrijver's blocks in order, k = 0..n//2, degree n + 1 - 2k. Library
     # only: to_json and the CLI text leave it out.
     DEFAULTS = {"matches": dict, "notes": list, "computed_components": lambda: None}
 

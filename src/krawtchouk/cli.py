@@ -64,15 +64,16 @@ MAX_R_DIGITS = 6
 # --suite all --max-n 24 takes 19-22 s with 20 six-digit r values (44 MiB peak).
 MAX_R_VALUES = 20
 
-# a negative rational such as -5/9, which argparse would read as an option
-NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
+# a negative r such as -5/9 or -1e1, which argparse would read as an option:
+# any '-' followed by a digit or '.'; parse_rational validates it
+NEGATIVE_RATIONAL = re.compile(r"-[\d.]")
 
 
 def join_negative_r(argv: list[str]) -> list[str]:
     """Rewrite '--r -5/9' as '--r=-5/9', so that argparse reads it as a value."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--r" and NEGATIVE_RATIONAL.fullmatch(token):
+        if out and out[-1] == "--r" and NEGATIVE_RATIONAL.match(token):
             out[-1] = f"--r={token}"
         else:
             out.append(token)

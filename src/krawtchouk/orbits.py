@@ -31,8 +31,8 @@ from .zeon import Rows, RowsRing
 class OrbitBasis:
     """The orbit matrices for one n, with the products of pairs cached, and
     Schrijver's block map, built on first use: blocks, block_images and
-    block_traces are the blocks in which algebra._stats takes its Wedderburn
-    step."""
+    block_traces are the blocks off which algebra._stats reads the Wedderburn
+    components."""
 
     def __init__(self, n: int):
         self.n = n
@@ -41,10 +41,6 @@ class OrbitBasis:
         self.index = {key: k for k, key in enumerate(self.keys)}
         self._binomial = [[comb(m, y) for y in range(m + 1)] for m in range(n + 1)]
         self._products: dict[tuple[int, int], dict[int, int]] = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.keys)
 
     def element(self, terms) -> dict[int, int]:
         """The vector of the sum of c * M[i, j, t] over the ((i, j, t), c) pairs."""
@@ -107,15 +103,6 @@ class OrbitBasis:
         """The trace on Q^(2^n): M[i, i, i] is the identity on the C(n, i) sets of layer i."""
         return sum(self._binomial[self.n][i] * x.get(self.index[i, i, i], 0)
                    for i in range(self.n + 1))
-
-    def row_sum_bound(self, x: dict[int, int]) -> int:
-        """The largest absolute row sum on Q^(2^n), a bound on |eigenvalue|: a row
-        x of layer i meets C(i, t) C(n - i, j - t) columns of M[i, j, t]."""
-        C, sums = self._binomial, [0] * (self.n + 1)
-        for k, v in x.items():
-            i, j, t = self.keys[k]
-            sums[i] += abs(v) * C[i][t] * C[self.n - i][j - t]
-        return max(sums)
 
     def _beta(self, i: int, j: int, t: int, k: int) -> int:
         """beta(i, j, t, k) = sum_u (-1)^(u - t) C(u, t) C(n - 2k, u - k)

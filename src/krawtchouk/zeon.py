@@ -80,8 +80,6 @@ class RowsRing:
     algebra statistics need; an element's vector is its row-major vectorization."""
 
     mul = staticmethod(mat_mul)
-    combine = staticmethod(combine)
-    transpose = staticmethod(transpose)
 
     def __init__(self, d: int):
         self.d = d
@@ -92,13 +90,6 @@ class RowsRing:
 
     def vec(self, rows: Rows) -> dict[int, int]:
         return {i * self.d + j: v for i, row in rows.items() for j, v in row.items()}
-
-    def trace(self, rows: Rows) -> int:
-        return sum(rows.get(i, {}).get(i, 0) for i in range(self.d))
-
-    def row_sum_bound(self, rows: Rows) -> int:
-        """The largest absolute row sum, a bound on |eigenvalue|."""
-        return max((sum(map(abs, row.values())) for row in rows.values()), default=0)
 
 
 class ZeonMatrix:

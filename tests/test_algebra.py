@@ -3,10 +3,9 @@ import copy
 import math
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from krawtchouk import algebra, cli
 from krawtchouk.algebra import (
@@ -14,7 +13,6 @@ from krawtchouk.algebra import (
     BudgetError,
     ComponentSpec,
     Family,
-    MatrixRing,
     algebra_stats,
     analyze_family,
     center_dimension,
@@ -30,7 +28,7 @@ from krawtchouk.algebra import (
 from krawtchouk.combinatorics import binomial, catalan
 from krawtchouk.matrices import build_matrix
 from krawtchouk.orbits import OrbitBasis
-from krawtchouk.zeon import ZeonMatrix, layer, op_T, op_Tstar, op_U
+from krawtchouk.zeon import RowsRing, ZeonMatrix, layer, op_T, op_Tstar, op_U
 
 
 def identity_matrix(d):
@@ -179,7 +177,7 @@ def test_analyze_tt_n2_three_way():
 
 
 # ---------------------------------------------------------------------------
-# Wedderburn path against the elimination
+# algebra_stats and the public dimensions against dense definitions
 # ---------------------------------------------------------------------------
 
 NILPOTENT = [[0, 1], [0, 0]]
@@ -288,7 +286,7 @@ def test_computed_components_equal_the_predicted_ones(family):
         comparison = analyze_family(family, n, allow_large=True)
         _, predicted = predicted_stats(family, n)
         computed = comparison.computed_components
-        assert computed is not None, (family, n)  # the Wedderburn path ran, no fallback
+        assert computed is not None, (family, n)
         assert sorted(computed.components) == sorted(predicted.components), (family, n)
         assert "computed_components" not in comparison.to_json()
 
@@ -300,20 +298,18 @@ SMALL_MATRIX = st.integers(min_value=1, max_value=6).flatmap(
 
 @settings(max_examples=40, deadline=None)
 @given(M=SMALL_MATRIX, symmetric=st.booleans())
-def test_wedderburn_path_agrees_with_elimination(M, symmetric):
+@example(M=NILPOTENT, symmetric=False)
+@example(M=ROTATION, symmetric=False)
+def test_algebra_stats_meets_the_definitions(M, symmetric):
     Mt = [list(col) for col in zip(*M)]
     if symmetric:
         gens = [[[a + b for a, b in zip(r, rt)] for r, rt in zip(M, Mt)]]
     else:
         gens = [M, Mt]
-    stats, comps = algebra_stats(gens)
+    stats = algebra_stats(gens)
     basis = closure_by_definition(gens)
-    assert stats.delta == span_closure_dimension(gens) == len(basis)
-    assert stats.zeta == centralizer_dimension(gens)
-    assert stats.z == center_dimension(gens) == center_by_definition(gens, basis)
-    if comps is not None:
-        assert comps.count == stats.z and comps.degree_sum == stats.d
-        assert comps.dimension == stats.delta and comps.centralizer_dim == stats.zeta
+    assert stats == AlgebraStats(d=len(M), delta=len(basis), zeta=centralizer_by_definition(gens),
+                                 z=center_by_definition(gens, basis))
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,18 +326,6 @@ def test_family_centralizers_match_the_dense_definition(family):
         assert centralizer_dimension(gens) == centralizer_by_definition(gens), n
 
 
-@pytest.mark.parametrize("gens", [
-    [NILPOTENT],  # not closed under transpose
-    [ROTATION, [list(col) for col in zip(*ROTATION)]],  # closed, but the center is Q(i)
-], ids=["nilpotent", "rotation"])
-def test_fallback_returns_the_elimination_values(gens):
-    stats, comps = algebra_stats(gens)
-    assert comps is None
-    assert stats == AlgebraStats(d=2, delta=2, zeta=centralizer_dimension(gens),
-                                 z=center_by_definition(gens))
-    assert stats.zeta == 2 and stats.z == 2
-
-
 def test_nested_list_and_rational_generators_reach_the_elimination():
     # integral Fractions from nested lists once reached math.gcd and raised TypeError
     assert centralizer_dimension([NILPOTENT]) == 2
@@ -353,76 +337,12 @@ def test_nested_list_and_rational_generators_reach_the_elimination():
 
 @pytest.mark.parametrize("gens", [
     *(family_generators(family, n) for family in Family for n in (1, 2, 3)),
-    [op_T(3)],  # not closed under transpose: the unit-matrix fallback runs
+    [op_T(3)],  # not closed under transpose
 ], ids=[*(f"{family.value}-{n}" for family in Family for n in (1, 2, 3)), "T-alone"])
 def test_algebra_stats_leaves_zeon_generators_unchanged(gens):
     before = [copy.deepcopy(g.rows) for g in gens]
     algebra_stats(gens)
     assert [g.rows for g in gens] == before
-
-
-# ---------------------------------------------------------------------------
-# the shortcuts of algebra_stats: commuting generators and the
-# multiplicities from traces
-# ---------------------------------------------------------------------------
-
-def assert_commuting_path(gens):
-    """algebra_stats on commuting generators runs no center pass outside the
-    unit-matrix fallback and gives the values of the definitions; returns the
-    components."""
-    calls = []
-    real = algebra._commuting
-    with mock.patch.object(algebra, "_commuting", lambda *args: calls.append(1) or real(*args)):
-        stats, comps = algebra_stats(gens)
-    assert len(calls) == (comps is None)  # only the unit-matrix fallback may run it
-    basis = closure_by_definition(gens)
-    assert stats.delta == len(basis) == stats.z == center_by_definition(gens, basis)
-    assert stats.zeta == centralizer_by_definition(gens)
-    if comps is not None:
-        assert comps.count == stats.z and comps.centralizer_dim == stats.zeta
-        assert comps.degree_sum == stats.d and all(block == 1 for _, block in comps.components)
-    return comps
-
-
-@settings(max_examples=40, deadline=None)
-@given(M=SMALL_MATRIX, diagonal=st.booleans())
-def test_commuting_generators_skip_the_center_pass(M, diagonal):
-    d = len(M)
-    S = [[M[i][j] + M[j][i] if i == j or not diagonal else 0 for j in range(d)] for i in range(d)]
-    square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*S)] for row in S]
-    gens = [S, [[x - 2 * y for x, y in zip(r2, r)] for r2, r in zip(square, S)]]  # S, S^2 - 2S
-    comps = assert_commuting_path(gens)
-    if comps is not None and diagonal:  # the blocks are the eigenspaces of S
-        assert sorted(m for m, _ in comps.components) == sorted(
-            Counter(S[i][i] for i in range(d)).values())
-
-
-@pytest.mark.parametrize("diagonals", [
-    [(0, 0, 1), (3, 0, 0), (0, 1, 0)],
-    [(0, 0, 1, 1), (3, 0, 0, 0), (0, 1, 0, 0)],
-], ids=["three-blocks", "a-repeated-joint-eigenvalue"])
-def test_commuting_generators_separate_every_joint_eigenvalue(diagonals):
-    # c = g1 + t g2 + t^2 g3 needs t above twice the largest bound over all the
-    # generators: with g1's bound alone t = 3 and c = diag(9, 9, 1, ...)
-    d = len(diagonals[0])
-    gens = [[[v if i == j else 0 for j in range(d)] for i, v in enumerate(diag)]
-            for diag in diagonals]
-    comps = assert_commuting_path(gens)
-    assert comps is not None
-    assert sorted(m for m, _ in comps.components) == sorted(Counter(zip(*diagonals)).values())
-
-
-def test_multiplicities_solve_the_trace_system_or_refuse():
-    roots = [-1, 2, 5]
-
-    def traces(mus):
-        return [sum(m * lam**k for m, lam in zip(mus, roots)) for k in range(3)]
-
-    assert algebra._multiplicities(roots, traces([3, 1, 2])) == [3, 1, 2]
-    assert algebra._multiplicities(roots, traces([3, 0, 2])) is None  # not positive
-    shifted = traces([3, 1, 2])
-    shifted[0] += 1
-    assert algebra._multiplicities(roots, shifted) is None  # not integral
 
 
 def test_a_non_square_generator_is_refused():
@@ -432,24 +352,57 @@ def test_a_non_square_generator_is_refused():
         algebra_stats([[[1, 0], [0]]])
 
 
-def test_a_block_dimension_that_is_not_a_square_falls_back(monkeypatch):
-    # one extra element in each block's closure makes d_i^2 + 1, never a square;
-    # a block's closure starts from one element, the algebra's from I and the generators
+def test_the_orbit_path_refuses_a_padded_block_closure(monkeypatch, capsys):
+    # one extra element in each block's closure makes m^2 + 1; a block's closure
+    # starts from one element, the algebra's from I and the generators
     real = algebra._span_closure
 
     def padded(ring, gens, seed):
         basis = real(ring, gens, seed)
         return basis + [{}] if len(seed) == 1 else basis
 
-    gens = family_generators(Family.T_TSTAR, 3)
-    expected, comps = algebra_stats(gens)
-    assert comps is not None and algebra.orbit_stats(Family.T_TSTAR, 3) is not None
+    assert algebra.orbit_stats(Family.T_TSTAR, 3) is not None
     monkeypatch.setattr(algebra, "_span_closure", padded)
-    padded_paths = (algebra_stats(gens), algebra.orbit_stats(Family.T_TSTAR, 3))
-    assert padded_paths == ((expected, None), None)  # the 2^n and the orbit path
-    with pytest.raises(ValueError, match="certificate of the orbit path failed at n=3$"):
-        analyze_family(Family.T_TSTAR, 3)  # no 2^n answer in its place
-    assert expected.zeta == catalan(3)
+    assert algebra.orbit_stats(Family.T_TSTAR, 3) is None
+    message = "a certificate of the orbit path failed at n=3"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        analyze_family(Family.T_TSTAR, 3)
+    assert cli.main(["algebra", "--family", "T", "--n", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def diagonal(*entries):
+    return {i: {i: v} for i, v in enumerate(entries) if v}
+
+
+@pytest.mark.parametrize("diagonals", [
+    [(0, 0, 1), (3, 0, 0), (0, 1, 0)],
+    [(0, 0, 1, 1), (3, 0, 0, 0), (0, 1, 0, 0)],
+], ids=["three-positions", "a-repeated-joint-eigenvalue"])
+def test_the_diagonal_reader_counts_joint_eigenvalues(diagonals):
+    # one block of weight 2 and one of weight 1 that repeats the first position
+    blocks = [(2, RowsRing(len(diagonals[0]))), (1, RowsRing(1))]
+    images = [[diagonal(*diag) for diag in diagonals], [diagonal(*diag[:1]) for diag in diagonals]]
+    multiplicity = Counter({joint: 2 * m for joint, m in Counter(zip(*diagonals)).items()})
+    multiplicity[tuple(diag[0] for diag in diagonals)] += 1
+    assert algebra._diagonal_blocks(blocks, images) == [
+        (multiplicity[joint], 1) for joint in sorted(multiplicity)]
+
+
+def test_the_diagonal_reader_refuses_an_off_diagonal_entry():
+    blocks = [(1, RowsRing(1)), (1, RowsRing(2))]
+    assert algebra._diagonal_blocks(blocks, [[{0: {0: 1}}], [diagonal(1, 2)]]) == [(2, 1), (1, 1)]
+    # N = [[0, 1], [0, 0]] commutes with itself and with I, but is not diagonal
+    assert algebra._diagonal_blocks(blocks, [[{0: {0: 1}}], [{0: {1: 1}}]]) is None
+    assert algebra._diagonal_blocks(blocks, [[{}, {}], [diagonal(1, 1), {0: {1: 1}}]]) is None
+
+
+def test_the_full_block_reader_refuses_a_closure_short_of_m_squared():
+    blocks = [(3, RowsRing(2)), (1, RowsRing(1))]
+    E, F = {0: {1: 1}}, {1: {0: 1}}  # they generate all 2 x 2 matrices
+    assert algebra._full_blocks(blocks, [[E, F], [{}, {}]]) == [(3, 2), (1, 1)]
+    assert algebra._full_blocks(blocks, [[E, E], [{}, {}]]) is None  # I and E: 2 < 4
+    assert algebra._full_blocks(blocks, [[diagonal(1, 2), diagonal(2, 1)], [{}, {}]]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +453,17 @@ ORBIT_VECTORS = orbit_vectors(4, 6)
 @settings(max_examples=60, deadline=None)
 @given(case=ORBIT_VECTORS)
 def test_orbit_arithmetic_agrees_with_explicit_matrices(case):
-    # both rings of the Wedderburn method: the orbit vectors, and MatrixRing
-    # on the kernel rows of their 2^n x 2^n expansions
+    # the orbit vectors, and RowsRing on the kernel rows of their 2^n x 2^n
+    # expansions
     n, x, y = case
     orbits = OrbitBasis(n)
     X, Y = expand(orbits, x), expand(orbits, y)
-    XY, Xt = _matmul(X, Y), [list(col) for col in zip(*X)]
-    trace = sum(X[k][k] for k in range(1 << n))
-    bound = max(sum(map(abs, row)) for row in X)
+    XY = _matmul(X, Y)
     assert expand(orbits, orbits.mul(x, y)) == XY
-    assert expand(orbits, orbits.transpose(x)) == Xt
-    assert (orbits.trace(x), orbits.row_sum_bound(x)) == (trace, bound)
-    ring, xr, yr = MatrixRing(1 << n), kernel_rows(X), kernel_rows(Y)
+    assert expand(orbits, orbits.transpose(x)) == [list(col) for col in zip(*X)]
+    assert orbits.trace(x) == sum(X[k][k] for k in range(1 << n))
+    ring, xr, yr = RowsRing(1 << n), kernel_rows(X), kernel_rows(Y)
     assert ring.mul(xr, yr) == kernel_rows(XY)
-    assert ring.transpose(xr) == kernel_rows(Xt)
-    assert (ring.trace(xr), ring.row_sum_bound(xr)) == (trace, bound)
     assert ring.vec(xr) == {k: v for k, v in enumerate(sum(X, [])) if v}
 
 
@@ -528,16 +477,15 @@ def test_orbit_generators_are_the_family_generators(family):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_orbit_path_equals_the_matrix_path(family):
-    for n in range(1, 7):
-        stats, comps = algebra_stats(family_generators(family, n))
-        orbit_stats, orbit_comps = algebra.orbit_stats(family, n)
-        assert orbit_stats == stats, (family, n)
-        assert sorted(orbit_comps.components) == sorted(comps.components), (family, n)
+    # the elimination takes 14 s for T and 58 s for TT at n = 6
+    for n in range(1, 6):
+        stats, _ = algebra.orbit_stats(family, n)
+        assert stats == algebra_stats(family_generators(family, n)), (family, n)
 
 
-@pytest.mark.parametrize("family,n", [(family, n) for family in Family for n in range(7, 19)])
+@pytest.mark.parametrize("family,n", [(family, n) for family in Family for n in range(6, 19)])
 def test_orbit_path_meets_the_closed_forms_beyond_the_matrix_path(family, n):
-    # n > 6, where the tests no longer run the 2^n oracle
+    # n > 5, where the tests no longer run the 2^n oracle
     comparison = analyze_family(family, n, allow_large=True)
     predicted, comps = predicted_stats(family, n)
     assert (comparison.computed.delta, comparison.computed.zeta) == (predicted.delta, predicted.zeta)
@@ -558,19 +506,18 @@ def beta_with_j_for_i(self, i, j, t, k):
                for u in range(max(t, k), min(i, j) + 1))
 
 
-TRACE, BETA = OrbitBasis.trace, OrbitBasis._beta
+TRACE, BETA, TRANSPOSE = OrbitBasis.trace, OrbitBasis._beta, OrbitBasis.transpose
 BROKEN = {
     "trace": ("trace", lambda self, x: TRACE(self, x) + 1),  # the blocks' traces disagree
-    "eigenvalue-bound": ("row_sum_bound", lambda self, x: 0),  # the integer roots fail
+    # T* = 2 T^T, and the generators are not closed under the doubled transpose
+    "transpose": ("transpose", lambda self, x: {k: 2 * v for k, v in TRANSPOSE(self, x).items()}),
     # a division of the block map leaves a remainder
     "block-map": ("_beta", lambda self, *key: BETA(self, *key) + 1),
     # the images of the generators' products are not the products of their images
     "block-product": ("_beta", beta_with_j_for_i),
 }
-# T's Wedderburn step reads no eigenvalue bound: each of its blocks is all m x m
-# matrices; U's and TT's generators have only keys (i, i, t), which the swap keeps
-UNTOUCHED = {(Family.T_TSTAR, "eigenvalue-bound"), (Family.U, "block-product"),
-             (Family.TTSTAR_TSTART, "block-product")}
+# U's and TT's generators have only keys (i, i, t), which the swap keeps
+UNTOUCHED = {(Family.U, "block-product"), (Family.TTSTAR_TSTART, "block-product")}
 
 
 @pytest.mark.parametrize("family,broken", [
@@ -594,7 +541,7 @@ def test_analyze_family_never_reaches_the_matrix_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("analyze_family reached the 2^n matrix path")
 
-    for name in ("algebra_stats", "family_generators", "MatrixRing", "centralizer_dimension"):
+    for name in ("algebra_stats", "family_generators", "centralizer_dimension"):
         monkeypatch.setattr(algebra, name, refuse)
     for family in Family:
         for n in range(1, 7):
@@ -602,7 +549,7 @@ def test_analyze_family_never_reaches_the_matrix_path(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Schrijver's block map of the orbit basis, and the Wedderburn step on it
+# Schrijver's block map of the orbit basis, and the components read off it
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -617,7 +564,7 @@ def test_the_block_map_is_multiplicative_and_keeps_the_trace_and_the_adjoint(cas
     assert orbits.block_images(orbits.mul(x, y)) == [
         ring.mul(a, b) for (_, ring), a, b in zip(blocks, X, Y)]
     traces = orbits.block_traces(x)
-    assert traces == [ring.trace(a) for (_, ring), a in zip(blocks, X)]
+    assert traces == [sum(a.get(i, {}).get(i, 0) for i in a) for a in X]
     assert orbits.trace(x) == sum(weight * tr for (weight, _), tr in zip(blocks, traces))
     for k, (a, at) in enumerate(zip(X, orbits.block_images(orbits.transpose(x)))):
         # X(x^T)[b][a] C(n - 2k, a) = X(x)[a][b] C(n - 2k, b)
@@ -635,38 +582,6 @@ def test_the_blocks_have_the_algebra_s_dimension_and_act_on_2_to_the_n(n):
     assert all(weight > 0 for weight, _ in blocks)
 
 
-class OneBlock(OrbitBasis):
-    """The orbit basis with its block map hidden: _stats sees one block, the
-    ring itself, of 2^n x 2^n matrices, and runs the generic Wedderburn step
-    (a center pass for T, the minimal polynomial of c for U and TT) on
-    C(n + 3, 3)-vectors."""
-
-    @property
-    def d(self):
-        return 1 << self.n
-
-    def blocks(self):
-        return [(1, self)]
-
-    def block_images(self, x):
-        return [x]
-
-    def block_traces(self, x):
-        return [self.trace(x)]
-
-
-@pytest.mark.parametrize("family", list(Family))
-def test_the_block_step_equals_the_step_on_one_orbit_block(family):
-    for n in range(1, 11):
-        results = []
-        for orbits in (OrbitBasis(n), OneBlock(n)):
-            gens = algebra._orbit_generators(orbits, family)
-            delta, z, comps = algebra._stats(orbits, gens, 1 << n)
-            assert comps is not None, (family, n, type(orbits))
-            results.append((delta, z, sorted(comps.components)))
-        assert results[0] == results[1], (family, n)
-
-
 def test_the_orbit_path_runs_no_center_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("a center pass ran on the orbit path")
@@ -675,6 +590,22 @@ def test_the_orbit_path_runs_no_center_pass(monkeypatch):
     for family in Family:
         for n in range(1, 9):
             assert algebra.orbit_stats(family, n) is not None, (family, n)
+
+
+@pytest.mark.parametrize("case", ["not-closed-under-transpose", "a-wrong-degree"])
+def test_the_block_reading_refuses_a_failed_certificate(case):
+    # T and T* + U generate T's algebra, and every other certificate holds for
+    # them: only the transpose closure refuses the pair
+    for n in range(1, 7):
+        orbits = OrbitBasis(n)
+        T, Tstar = algebra._orbit_generators(orbits, Family.T_TSTAR)
+        U, = algebra._orbit_generators(orbits, Family.U)
+        if case == "not-closed-under-transpose":
+            gens, d = [T, orbits.combine([(1, Tstar), (1, U)])], 1 << n
+        else:
+            gens, d = [T, Tstar], 1 + (1 << n)
+        assert algebra._stats(orbits, gens, d) is None, n
+        assert algebra._stats(orbits, [T, Tstar], 1 << n) is not None, n
 
 
 def test_the_blocks_of_T_are_its_components_in_order():

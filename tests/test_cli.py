@@ -72,8 +72,12 @@ def test_matrix_negative_rational_in_both_forms(capsys):
     code, spaced, _ = run(capsys, "matrix", "--n", "2", "--r", "-5/9", "--format", "csv")
     assert code == 0
     assert spaced == "# krawtchouk N=2 r=-5/9\n1,1,1\n2,14/9,10/9\n1,5/9,25/81\n"
-    code, joined, _ = run(capsys, "matrix", "--n", "2", "--r=-5/9", "--format", "csv")
-    assert code == 0 and joined == spaced
+    # exponent forms too: '--r -1e1' once reached argparse as an option
+    for r, shown in (("-5/9", "-5/9"), ("-1e1", "-10/1"), ("-2.5E-1", "-1/4")):
+        code, spaced, _ = run(capsys, "matrix", "--n", "1", "--r", r, "--format", "csv")
+        assert code == 0 and spaced.startswith(f"# krawtchouk N=1 r={shown}\n"), r
+        code, joined, _ = run(capsys, "matrix", "--n", "1", f"--r={r}", "--format", "csv")
+        assert code == 0 and joined == spaced, r
 
 
 def test_verify_negative_rational_in_both_forms(capsys):
