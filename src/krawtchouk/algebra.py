@@ -16,10 +16,12 @@ matrices as vectors over the C(n+3, 3) orbit matrices, and compares them
 with the closed forms. _stats takes the span closure there (delta) and reads
 the Wedderburn components off Schrijver's block diagonalisation (A.
 Schrijver, IEEE Trans. Inf. Theory 51, 2005), n//2 + 1 blocks of size at
-most n + 1: for T every block's image of A is all m x m matrices, one
-component; for U and TT every generator's block image is diagonal, and each
-distinct tuple of joint eigenvalues is a component of degree 1.
-Certificates tie the blocks to the orbit basis; any other shape fails one.
+most n + 1, by the shape of the generators' block images: for T, T's image
+in every block is nonzero exactly on the subdiagonal and T*'s exactly on the
+superdiagonal, so A's image is all m x m matrices, one component; for U and
+TT every generator's block image is diagonal, and each distinct tuple of
+joint eigenvalues is a component of degree 1. Certificates tie the blocks
+to the orbit basis; any other shape fails one.
 """
 from __future__ import annotations
 
@@ -101,7 +103,8 @@ def _as_rows(mat) -> tuple[int, dict[int, dict[int, int]]]:
 class ExactEchelon:
     """Incremental integer row-echelon basis for exact rank computation.
 
-    Each stored pivot is primitive (content 1) with a positive lead entry.
+    Each stored pivot is primitive (content 1) with a positive lead entry;
+    pivots maps lead columns to pivots in the order they were found.
     """
 
     def __init__(self):
@@ -162,33 +165,38 @@ def _prepare(generators) -> tuple[int, list[dict]]:
     return d, [rows for _, rows in sizes_rows]
 
 
-def _span_closure(ring, gens: list, seed: list) -> list:
-    """Basis of the span of seed * words in gens, multiplied in ring."""
+def _span_closure(ring, gens: list) -> list:
+    """A basis of the unital algebra that gens generate in ring: the identity
+    and the products that an echelon accepted.
+
+    Each round multiplies the pivots that the round before added to the
+    echelon (ring.from_vec turns one back into an element) by every
+    generator. A pivot is an integer combination of accepted elements divided
+    by its content, so the pivots lie in the algebra and span what the
+    accepted elements span, and every pivot is multiplied by every generator.
+    Reduced pivots multiply faster than raw products; the products are
+    returned because center_dimension's commutators are cheaper on them."""
     ech = ExactEchelon()
-    basis: list = []
-    frontier: list = []
-    for m in seed:
-        if ech.insert(ring.vec(m)):
-            basis.append(m)
-            frontier.append(m)
-    while frontier:
-        fresh: list = []
-        for m in frontier:
+    identity = ring.identity()
+    basis = [identity] if ech.insert(ring.vec(identity)) else []
+    done = 0
+    while done < len(ech.pivots):
+        frontier = list(ech.pivots.values())[done:]
+        done = len(ech.pivots)
+        for pivot in frontier:
+            x = ring.from_vec(pivot)
             for g in gens:
-                prod = ring.mul(m, g)
+                prod = ring.mul(x, g)
                 if ech.insert(ring.vec(prod)):
                     basis.append(prod)
-                    fresh.append(prod)
-        frontier = fresh
     return basis
 
 
 def span_closure_dimension(generators) -> int:
     """Dimension of the unital algebra generated by the given matrices: the span
-    of the identity and the generators, each times every word in the generators."""
+    of the identity times every word in the generators."""
     d, gens = _prepare(generators)
-    ring = RowsRing(d)
-    return len(_span_closure(ring, gens, [ring.identity()] + gens))
+    return len(_span_closure(RowsRing(d), gens))
 
 
 def centralizer_dimension(generators) -> int:
@@ -202,7 +210,7 @@ def center_dimension(generators) -> int:
     """Dimension of the center: algebra elements commuting with all generators."""
     d, gens = _prepare(generators)
     ring = RowsRing(d)
-    return len(_commuting(ring, gens, _span_closure(ring, gens, [ring.identity()] + gens)))
+    return len(_commuting(ring, gens, _span_closure(ring, gens)))
 
 
 def _commuting(ring, gens: list, elements) -> list[dict[int, int]]:
@@ -248,9 +256,16 @@ def algebra_stats(generators) -> AlgebraStats:
 
 def _full_blocks(blocks: list, images: list) -> list | None:
     """(weight, m) per block of m x m matrices, if the block's images of the
-    generators close to all m^2 of them; None otherwise."""
+    generators generate all m^2 of them by their shape; None otherwise. A 1 x 1
+    block is full by the identity alone. A larger block needs one image that is
+    nonzero exactly on the subdiagonal, L, and one exactly on the superdiagonal,
+    R: then R^(m-1) L^(m-1) is a nonzero multiple of E_00, and L^a E_00 R^b one
+    of E_ab."""
     for (_, block), bgens in zip(blocks, images):
-        if len(_span_closure(block, list(bgens), [block.identity()])) != block.d ** 2:
+        lower = {(a + 1, a) for a in range(block.d - 1)}
+        upper = {(a, b) for b, a in lower}
+        shapes = [{(i, j) for i, row in x.items() for j in row} for x in bgens]
+        if block.d > 1 and not (lower in shapes and upper in shapes):
             return None
     return [(weight, block.d) for weight, block in blocks]
 
@@ -281,7 +296,7 @@ def _stats(ring, gens: list, d: int) -> tuple[AlgebraStats, ComponentSpec] | Non
     sum d_i^2 = delta, the blocks' images add up to A."""
     if any(ring.transpose(g) not in gens for g in gens):
         return None  # not a *-algebra: semisimplicity is not guaranteed
-    basis = _span_closure(ring, gens, [ring.identity()] + gens)
+    basis = _span_closure(ring, gens)
     blocks = ring.blocks()
     if blocks is None or any(
             ring.trace(b) != sum(w * tr for (w, _), tr in zip(blocks, ring.block_traces(b)))

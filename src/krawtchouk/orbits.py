@@ -94,6 +94,10 @@ class OrbitBasis:
         """The coordinate vector of x: x itself, not a copy."""
         return x
 
+    def from_vec(self, vec: dict[int, int]) -> dict[int, int]:
+        """The element with coordinate vector vec: vec itself, not a copy."""
+        return vec
+
     def transpose(self, x: dict[int, int]) -> dict[int, int]:
         """M[i, j, t] transposed is M[j, i, t]."""
         keys, index = self.keys, self.index

@@ -91,6 +91,14 @@ class RowsRing:
     def vec(self, rows: Rows) -> dict[int, int]:
         return {i * self.d + j: v for i, row in rows.items() for j, v in row.items()}
 
+    def from_vec(self, vec: dict[int, int]) -> Rows:
+        """The matrix whose row-major vectorization is vec (no zero entry)."""
+        rows: Rows = {}
+        for c, v in vec.items():
+            i, j = divmod(c, self.d)
+            rows.setdefault(i, {})[j] = v
+        return rows
+
 
 class ZeonMatrix:
     """Sparse exact-integer matrix of size 2^n x 2^n over the subset basis.

@@ -185,7 +185,15 @@ ROTATION = [[0, -1], [1, 0]]  # its algebra is Q(i): the center does not split o
 
 
 def _matmul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+    """A B, row by row: each row of A combines the rows of B, skipping its zeros."""
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, brow in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def _as_dense(g):
@@ -296,6 +304,14 @@ SMALL_MATRIX = st.integers(min_value=1, max_value=6).flatmap(
                        min_size=d, max_size=d))
 
 
+def assert_closed(ring, gens, basis):
+    """basis is independent and holds I, and every b g reduces to zero against it."""
+    echelon = algebra.ExactEchelon()
+    assert all(echelon.insert(ring.vec(b)) for b in basis)
+    assert ring.identity() in basis
+    assert not any(echelon.insert(ring.vec(ring.mul(b, g))) for b in basis for g in gens)
+
+
 @settings(max_examples=40, deadline=None)
 @given(M=SMALL_MATRIX, symmetric=st.booleans())
 @example(M=NILPOTENT, symmetric=False)
@@ -308,8 +324,31 @@ def test_algebra_stats_meets_the_definitions(M, symmetric):
         gens = [M, Mt]
     stats = algebra_stats(gens)
     basis = closure_by_definition(gens)
+    d, rows = algebra._prepare(gens)
+    assert_closed(RowsRing(d), rows, algebra._span_closure(RowsRing(d), rows))
     assert stats == AlgebraStats(d=len(M), delta=len(basis), zeta=centralizer_by_definition(gens),
                                  z=center_by_definition(gens, basis))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_the_closure_in_the_orbit_basis_is_the_algebra_by_definition(family):
+    for n in range(1, 7):
+        orbits = OrbitBasis(n)
+        gens = algebra._orbit_generators(orbits, family)
+        basis = algebra._span_closure(orbits, gens)
+        assert_closed(orbits, gens, basis)
+        assert len(basis) == len(closure_by_definition(family_generators(family, n))), n
+
+
+def test_the_echelon_keeps_its_pivots_in_insertion_order_and_answers_a_bool():
+    # the closure's rounds read the pivots in insertion order, and
+    # perfbench/spans.py adds insert's answer to a counter
+    echelon = algebra.ExactEchelon()
+    assert echelon.insert({3: 2, 5: 4}) is True
+    assert echelon.insert({0: -1, 3: 1}) is True
+    assert echelon.insert({3: -1, 5: -2}) is False
+    assert echelon.insert({}) is False
+    assert list(echelon.pivots.items()) == [(3, {3: 1, 5: 2}), (0, {0: 1, 3: -1})]
 
 
 @settings(max_examples=40, deadline=None)
@@ -352,17 +391,18 @@ def test_a_non_square_generator_is_refused():
         algebra_stats([[[1, 0], [0]]])
 
 
-def test_the_orbit_path_refuses_a_padded_block_closure(monkeypatch, capsys):
-    # one extra element in each block's closure makes m^2 + 1; a block's closure
-    # starts from one element, the algebra's from I and the generators
-    real = algebra._span_closure
+def test_the_orbit_path_refuses_a_block_image_off_its_shape(monkeypatch, capsys):
+    # T's image in block 0 loses its subdiagonal entry (1, 0): L is no longer
+    # nonzero on the whole subdiagonal, and the shape reader refuses the block
+    real = algebra._full_blocks
 
-    def padded(ring, gens, seed):
-        basis = real(ring, gens, seed)
-        return basis + [{}] if len(seed) == 1 else basis
+    def zeroed(blocks, images):
+        (T, *rest), *others = images
+        T = {i: row for i, row in T.items() if i != 1}
+        return real(blocks, [(T, *rest), *others])
 
     assert algebra.orbit_stats(Family.T_TSTAR, 3) is not None
-    monkeypatch.setattr(algebra, "_span_closure", padded)
+    monkeypatch.setattr(algebra, "_full_blocks", zeroed)
     assert algebra.orbit_stats(Family.T_TSTAR, 3) is None
     message = "a certificate of the orbit path failed at n=3"
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -373,6 +413,11 @@ def test_the_orbit_path_refuses_a_padded_block_closure(monkeypatch, capsys):
 
 def diagonal(*entries):
     return {i: {i: v} for i, v in enumerate(entries) if v}
+
+
+def dense(x, m):
+    """The m x m matrix of the kernel rows x."""
+    return [[x.get(i, {}).get(j, 0) for j in range(m)] for i in range(m)]
 
 
 @pytest.mark.parametrize("diagonals", [
@@ -397,12 +442,54 @@ def test_the_diagonal_reader_refuses_an_off_diagonal_entry():
     assert algebra._diagonal_blocks(blocks, [[{}, {}], [diagonal(1, 1), {0: {1: 1}}]]) is None
 
 
-def test_the_full_block_reader_refuses_a_closure_short_of_m_squared():
+def test_the_full_block_reader_needs_a_subdiagonal_and_a_superdiagonal_image():
     blocks = [(3, RowsRing(2)), (1, RowsRing(1))]
     E, F = {0: {1: 1}}, {1: {0: 1}}  # they generate all 2 x 2 matrices
     assert algebra._full_blocks(blocks, [[E, F], [{}, {}]]) == [(3, 2), (1, 1)]
-    assert algebra._full_blocks(blocks, [[E, E], [{}, {}]]) is None  # I and E: 2 < 4
+    assert algebra._full_blocks(blocks, [[E, E], [{}, {}]]) is None  # no subdiagonal image
+    assert algebra._full_blocks(blocks, [[F, F], [{}, {}]]) is None  # no superdiagonal image
     assert algebra._full_blocks(blocks, [[diagonal(1, 2), diagonal(2, 1)], [{}, {}]]) is None
+    L, R = {1: {0: 2}, 2: {1: -1}}, {0: {1: 3}, 1: {2: 1}}
+    assert algebra._full_blocks([(1, RowsRing(3))], [[R, L]]) == [(1, 3)]
+    # a missing subdiagonal entry, and an entry off the subdiagonal: I + L and R
+    # still generate all 3 x 3 matrices, but only the shape L is read
+    assert algebra._full_blocks([(1, RowsRing(3))], [[R, {2: {1: -1}}]]) is None
+    IL = {0: {0: 1}, 1: {0: 2, 1: 1}, 2: {1: -1, 2: 1}}
+    assert algebra._full_blocks([(1, RowsRing(3))], [[R, IL]]) is None
+    assert span_closure_dimension([dense(R, 3), dense(IL, 3)]) == 9
+
+
+def block_images(max_m):
+    """(m, images) for an m <= max_m: an image on the subdiagonal, one on the
+    superdiagonal, each at times with one cell dropped or added, and at most one
+    on random cells, in random order, every value a nonzero integer in [-3, 3]."""
+    def images(m):
+        cells = [(i, j) for i in range(m) for j in range(m)]
+        lower = {(a + 1, a) for a in range(m - 1)}
+        upper = {(b, a) for a, b in lower}
+
+        def near(shape):
+            return st.one_of(st.just(shape), st.sampled_from(cells).map(lambda c: shape ^ {c}))
+
+        def image(shapes):
+            return shapes.flatmap(lambda shape: st.fixed_dictionaries(
+                {cell: st.integers(-3, 3).filter(bool) for cell in shape}))
+
+        return st.tuples(image(near(lower)), image(near(upper)),
+                         st.lists(image(st.sets(st.sampled_from(cells))), max_size=1)).flatmap(
+            lambda t: st.permutations([t[0], t[1], *t[2]])).map(lambda xs: (m, [
+                {i: {j: v for (r, j), v in x.items() if r == i} for i, _ in x} for x in xs]))
+    return st.integers(1, max_m).flatmap(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=block_images(5))
+@example(case=(3, [{1: {0: 2}, 2: {1: -1}}, {0: {1: 3}, 1: {2: 1}}]))
+def test_a_block_full_by_its_shape_closes_to_all_m_by_m_matrices(case):
+    # the generic closure is the shape reader's oracle
+    m, images = case
+    if algebra._full_blocks([(1, RowsRing(m))], [images]) is not None:
+        assert span_closure_dimension([dense(x, m) for x in images]) == m * m
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +570,7 @@ def test_orbit_path_equals_the_matrix_path(family):
         assert stats == algebra_stats(family_generators(family, n)), (family, n)
 
 
-@pytest.mark.parametrize("family,n", [(family, n) for family in Family for n in range(6, 19)])
+@pytest.mark.parametrize("family,n", [(family, n) for family in Family for n in range(6, 23)])
 def test_orbit_path_meets_the_closed_forms_beyond_the_matrix_path(family, n):
     # n > 5, where the tests no longer run the 2^n oracle
     comparison = analyze_family(family, n, allow_large=True)
