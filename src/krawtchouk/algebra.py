@@ -13,8 +13,10 @@ the tests' elimination oracle.
 analyze_family computes them for the three operator families over the
 Boolean lattice in orbits.OrbitBasis(n), the S_n-invariant 2^n x 2^n
 matrices as vectors over the C(n+3, 3) orbit matrices, and compares them
-with the closed forms. _stats takes the span closure there (delta) and reads
-the Wedderburn components off Schrijver's block diagonalisation (A.
+with the closed forms. _stats takes the span closure there (delta), seeded
+with the layer projections M[i, i, i], which are polynomials in U and lie in
+A, so every vector of the closure lies in one row layer; and it reads the
+Wedderburn components off Schrijver's block diagonalisation (A.
 Schrijver, IEEE Trans. Inf. Theory 51, 2005), n//2 + 1 blocks of size at
 most n + 1, by the shape of the generators' block images: for T, T's image
 in every block is nonzero exactly on the subdiagonal and T*'s exactly on the
@@ -35,8 +37,8 @@ from .orbits import OrbitBasis
 from .report import FrozenRecord, IdentityReport, Record
 from .zeon import RowsRing, ZeonMatrix, op_T, op_Tstar, op_U
 
-DEFAULT_MAX_N = 18
-LARGE_MAX_N = 32
+DEFAULT_MAX_N = 32
+LARGE_MAX_N = 48
 
 
 class BudgetError(ValueError):
@@ -165,20 +167,20 @@ def _prepare(generators) -> tuple[int, list[dict]]:
     return d, [rows for _, rows in sizes_rows]
 
 
-def _span_closure(ring, gens: list) -> list:
-    """A basis of the unital algebra that gens generate in ring: the identity
-    and the products that an echelon accepted.
+def _span_closure(ring, gens: list, seeds: list) -> list:
+    """A basis of the span of the seeds times every word in gens: the seeds and
+    the products that an echelon accepted. Seeded with the identity, it is the
+    unital algebra that gens generate.
 
     Each round multiplies the pivots that the round before added to the
     echelon (ring.from_vec turns one back into an element) by every
     generator. A pivot is an integer combination of accepted elements divided
-    by its content, so the pivots lie in the algebra and span what the
-    accepted elements span, and every pivot is multiplied by every generator.
+    by its content, so the pivots lie in the span and span what the accepted
+    elements span, and every pivot is multiplied by every generator.
     Reduced pivots multiply faster than raw products; the products are
     returned because center_dimension's commutators are cheaper on them."""
     ech = ExactEchelon()
-    identity = ring.identity()
-    basis = [identity] if ech.insert(ring.vec(identity)) else []
+    basis = [seed for seed in seeds if ech.insert(ring.vec(seed))]
     done = 0
     while done < len(ech.pivots):
         frontier = list(ech.pivots.values())[done:]
@@ -196,7 +198,8 @@ def span_closure_dimension(generators) -> int:
     """Dimension of the unital algebra generated by the given matrices: the span
     of the identity times every word in the generators."""
     d, gens = _prepare(generators)
-    return len(_span_closure(RowsRing(d), gens))
+    ring = RowsRing(d)
+    return len(_span_closure(ring, gens, [ring.identity()]))
 
 
 def centralizer_dimension(generators) -> int:
@@ -210,7 +213,7 @@ def center_dimension(generators) -> int:
     """Dimension of the center: algebra elements commuting with all generators."""
     d, gens = _prepare(generators)
     ring = RowsRing(d)
-    return len(_commuting(ring, gens, _span_closure(ring, gens)))
+    return len(_commuting(ring, gens, _span_closure(ring, gens, [ring.identity()])))
 
 
 def _commuting(ring, gens: list, elements) -> list[dict[int, int]]:
@@ -285,25 +288,31 @@ def _diagonal_blocks(blocks: list, images: list) -> list | None:
     return [(multiplicity[joint], 1) for joint in sorted(multiplicity)]
 
 
-def _stats(ring, gens: list, d: int) -> tuple[AlgebraStats, ComponentSpec] | None:
+def _stats(ring, gens: list, d: int,
+           layer_terms: list) -> tuple[AlgebraStats, ComponentSpec] | None:
     """The statistics and the components of the unital algebra A that gens
     generate in ring, whose elements are d x d matrices, read off the ring's
     blocks: by _full_blocks for generators that do not commute, else by
-    _diagonal_blocks. None when a certificate fails: gens closed under
-    transpose; on A's basis the blocks' weighted traces equal ring.trace; the
-    block images of every product g h of two generators are the products of
-    their images; sum m_i d_i = d, the blocks by weight fill Q^d; and
-    sum d_i^2 = delta, the blocks' images add up to A."""
+    _diagonal_blocks. The span closure starts from ring.layer_projections(c),
+    polynomials in c that sum to the identity, where c = sum coef * gens[k]
+    or coef * gens[k] gens[l] over the (coef, k or (k, l)) pairs of layer_terms.
+    None when a certificate fails: gens closed under transpose; c has layer
+    projections; on the unit vector of every diagonal key, so on every
+    element, the blocks' weighted traces equal ring.trace; the block images
+    of every product g h of two generators are the products of their images;
+    sum m_i d_i = d, the blocks by weight fill Q^d; and sum d_i^2 = delta,
+    the blocks' images add up to A."""
     if any(ring.transpose(g) not in gens for g in gens):
         return None  # not a *-algebra: semisimplicity is not guaranteed
-    basis = _span_closure(ring, gens)
+    products = {(i, j): ring.mul(g, h) for i, g in enumerate(gens) for j, h in enumerate(gens)}
+    seeds = ring.layer_projections(ring.combine(
+        (coef, products[k] if isinstance(k, tuple) else gens[k]) for coef, k in layer_terms))
     blocks = ring.blocks()
-    if blocks is None or any(
-            ring.trace(b) != sum(w * tr for (w, _), tr in zip(blocks, ring.block_traces(b)))
-            for b in basis):
+    if seeds is None or blocks is None or any(
+            ring.trace(e) != sum(w * tr for (w, _), tr in zip(blocks, ring.block_traces(e)))
+            for e in ({p: 1} for p in ring.diagonal)):
         return None
     images = [ring.block_images(g) for g in gens]
-    products = {(i, j): ring.mul(g, h) for i, g in enumerate(gens) for j, h in enumerate(gens)}
     if any(ring.block_images(prod) != [block.mul(x, y) for (_, block), x, y
                                        in zip(blocks, images[i], images[j])]
            for (i, j), prod in products.items()):
@@ -313,9 +322,10 @@ def _stats(ring, gens: list, d: int) -> tuple[AlgebraStats, ComponentSpec] | Non
     if comps is None:
         return None
     spec = ComponentSpec(tuple(comps))
-    if spec.degree_sum != d or spec.dimension != len(basis):
+    delta = len(_span_closure(ring, gens, seeds))
+    if spec.degree_sum != d or spec.dimension != delta:
         return None
-    return AlgebraStats(d=d, delta=len(basis), zeta=spec.centralizer_dim, z=spec.count), spec
+    return AlgebraStats(d=d, delta=delta, zeta=spec.centralizer_dim, z=spec.count), spec
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +425,19 @@ def _orbit_generators(orbits: OrbitBasis, family: Family) -> list[dict[int, int]
     return [orbits.mul(T, Tstar), orbits.mul(Tstar, T)]
 
 
+# U = T*T - TT* in each family, as the layer_terms of _stats
+_LAYER_TERMS = {Family.U: [(1, 0)], Family.T_TSTAR: [(1, (1, 0)), (-1, (0, 1))],
+                Family.TTSTAR_TSTART: [(1, 1), (-1, 0)]}
+
+
 def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | None:
     """algebra_stats(family_generators(family, n)) and the components, computed
-    by _stats in the S_n orbit basis and Schrijver's blocks (OrbitBasis.blocks).
+    by _stats in the S_n orbit basis and Schrijver's blocks (OrbitBasis.blocks),
+    with the span closure seeded by the layer projections, polynomials in U.
     None when a certificate of _stats fails, or a division of the block map
     leaves a remainder."""
     orbits = OrbitBasis(n)
-    return _stats(orbits, _orbit_generators(orbits, family), 1 << n)
+    return _stats(orbits, _orbit_generators(orbits, family), 1 << n, _LAYER_TERMS[family])
 
 
 class AlgebraComparison(Record):
@@ -461,7 +477,7 @@ def analyze_family(family: Family, n: int, allow_large: bool = False) -> Algebra
     """Compute the four statistics for one operator family and compare.
 
     The statistics come from orbit_stats alone: a failed certificate raises
-    ValueError. The budget, n <= DEFAULT_MAX_N (18) or n <= LARGE_MAX_N (32)
+    ValueError. The budget, n <= DEFAULT_MAX_N (32) or n <= LARGE_MAX_N (48)
     with allow_large, and n >= 1 (predicted_stats) are checked first.
     """
     limit = LARGE_MAX_N if allow_large else DEFAULT_MAX_N

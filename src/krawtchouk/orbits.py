@@ -32,13 +32,15 @@ class OrbitBasis:
     """The orbit matrices for one n, with the products of pairs cached, and
     Schrijver's block map, built on first use: blocks, block_images and
     block_traces are the blocks off which algebra._stats reads the Wedderburn
-    components."""
+    components. layer_projections gives the M[i, i, i] that seed its span
+    closure: a product x M[j, k, s] keeps x's row layers."""
 
     def __init__(self, n: int):
         self.n = n
         self.keys = [(i, j, t) for i in range(n + 1) for j in range(n + 1)
                      for t in range(max(0, i + j - n), min(i, j) + 1)]
         self.index = {key: k for k, key in enumerate(self.keys)}
+        self._layers = {self.index[i, i, i]: i for i in range(n + 1)}  # M[i, i, i] -> i
         self._binomial = [[comb(m, y) for y in range(m + 1)] for m in range(n + 1)]
         self._products: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -47,7 +49,15 @@ class OrbitBasis:
         return self.combine((c, {self.index[key]: 1}) for key, c in terms)
 
     def identity(self) -> dict[int, int]:
-        return self.element(((i, i, i), 1) for i in range(self.n + 1))
+        return dict.fromkeys(self._layers, 1)
+
+    def layer_projections(self, c: dict[int, int]) -> list[dict[int, int]] | None:
+        """The layer projections M[i, i, i], i = 0..n, if c = sum_i lambda_i
+        M[i, i, i] with distinct lambda_i, so each is a polynomial in c; else None."""
+        eigenvalues = [c.get(p, 0) for p in self._layers]
+        if len(c) != sum(map(bool, eigenvalues)) or len(set(eigenvalues)) != len(eigenvalues):
+            return None
+        return [{p: 1} for p in self._layers]
 
     def combine(self, terms) -> dict[int, int]:
         """The sum of c * x over the (c, x) pairs in terms."""
@@ -105,8 +115,8 @@ class OrbitBasis:
 
     def trace(self, x: dict[int, int]) -> int:
         """The trace on Q^(2^n): M[i, i, i] is the identity on the C(n, i) sets of layer i."""
-        return sum(self._binomial[self.n][i] * x.get(self.index[i, i, i], 0)
-                   for i in range(self.n + 1))
+        C, layers = self._binomial[self.n], self._layers
+        return sum(C[layers[p]] * v for p, v in x.items() if p in layers)
 
     def _beta(self, i: int, j: int, t: int, k: int) -> int:
         """beta(i, j, t, k) = sum_u (-1)^(u - t) C(u, t) C(n - 2k, u - k)
@@ -160,13 +170,13 @@ class OrbitBasis:
         """The trace of x's image in every block, read from the diagonal keys
         (i, i, t) of x alone."""
         traces = [0] * (self.n // 2 + 1)
-        for p in self._diagonal:
-            v = x.get(p)
-            if v:
+        for p, v in x.items():
+            if p in self.diagonal:
                 for k, _, _, value in self._block_map[p]:
                     traces[k] += v * value
         return traces
 
     @cached_property
-    def _diagonal(self) -> list[int]:
-        return [p for p, (i, j, _) in enumerate(self.keys) if i == j]
+    def diagonal(self) -> frozenset[int]:
+        """The indices of the keys (i, i, t): trace and block_traces read no other."""
+        return frozenset(p for p, (i, j, _) in enumerate(self.keys) if i == j)

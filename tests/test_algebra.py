@@ -150,11 +150,11 @@ def test_commutative_families_have_center_equal_to_algebra():
 
 
 def test_budget_enforced():
-    message = r"^--n 19 exceeds the budget \(18\); pass --allow-large to permit --n 32$"
+    message = r"^--n 33 exceeds the budget \(32\); pass --allow-large to permit --n 48$"
     with pytest.raises(BudgetError, match=message):
-        analyze_family(Family.U, 19)
-    with pytest.raises(BudgetError, match=r"budget \(32\)$"):
-        analyze_family(Family.U, 33, allow_large=True)
+        analyze_family(Family.U, 33)
+    with pytest.raises(BudgetError, match=r"budget \(48\)$"):
+        analyze_family(Family.U, 49, allow_large=True)
 
 
 def test_analyze_u_n4_matches_closed_forms():
@@ -304,11 +304,12 @@ SMALL_MATRIX = st.integers(min_value=1, max_value=6).flatmap(
                        min_size=d, max_size=d))
 
 
-def assert_closed(ring, gens, basis):
-    """basis is independent and holds I, and every b g reduces to zero against it."""
+def assert_closed(ring, gens, basis, seeds):
+    """basis is independent and holds the seeds, and every b g reduces to zero
+    against it."""
     echelon = algebra.ExactEchelon()
     assert all(echelon.insert(ring.vec(b)) for b in basis)
-    assert ring.identity() in basis
+    assert all(seed in basis for seed in seeds)
     assert not any(echelon.insert(ring.vec(ring.mul(b, g))) for b in basis for g in gens)
 
 
@@ -325,19 +326,29 @@ def test_algebra_stats_meets_the_definitions(M, symmetric):
     stats = algebra_stats(gens)
     basis = closure_by_definition(gens)
     d, rows = algebra._prepare(gens)
-    assert_closed(RowsRing(d), rows, algebra._span_closure(RowsRing(d), rows))
+    ring = RowsRing(d)
+    assert_closed(ring, rows, algebra._span_closure(ring, rows, [ring.identity()]),
+                  [ring.identity()])
     assert stats == AlgebraStats(d=len(M), delta=len(basis), zeta=centralizer_by_definition(gens),
                                  z=center_by_definition(gens, basis))
 
 
+def layer_projections(orbits):
+    return [orbits.element([((i, i, i), 1)]) for i in range(orbits.n + 1)]
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_the_closure_in_the_orbit_basis_is_the_algebra_by_definition(family):
+    # seeded with the identity, and with the layer projections as orbit_stats
+    # seeds it: both span the algebra
     for n in range(1, 7):
         orbits = OrbitBasis(n)
         gens = algebra._orbit_generators(orbits, family)
-        basis = algebra._span_closure(orbits, gens)
-        assert_closed(orbits, gens, basis)
-        assert len(basis) == len(closure_by_definition(family_generators(family, n))), n
+        delta = len(closure_by_definition(family_generators(family, n)))
+        for seeds in ([orbits.identity()], layer_projections(orbits)):
+            basis = algebra._span_closure(orbits, gens, seeds)
+            assert_closed(orbits, gens, basis, seeds)
+            assert len(basis) == delta, (n, len(seeds))
 
 
 def test_the_echelon_keeps_its_pivots_in_insertion_order_and_answers_a_bool():
@@ -570,7 +581,7 @@ def test_orbit_path_equals_the_matrix_path(family):
         assert stats == algebra_stats(family_generators(family, n)), (family, n)
 
 
-@pytest.mark.parametrize("family,n", [(family, n) for family in Family for n in range(6, 23)])
+@pytest.mark.parametrize("family,n", [(family, n) for family in Family for n in range(6, 27)])
 def test_orbit_path_meets_the_closed_forms_beyond_the_matrix_path(family, n):
     # n > 5, where the tests no longer run the 2^n oracle
     comparison = analyze_family(family, n, allow_large=True)
@@ -688,11 +699,63 @@ def test_the_block_reading_refuses_a_failed_certificate(case):
         T, Tstar = algebra._orbit_generators(orbits, Family.T_TSTAR)
         U, = algebra._orbit_generators(orbits, Family.U)
         if case == "not-closed-under-transpose":
+            # (T* + U) T - T (T* + U) = U - 2 T, so c is U again
             gens, d = [T, orbits.combine([(1, Tstar), (1, U)])], 1 << n
+            terms = [(1, (1, 0)), (-1, (0, 1)), (2, 0)]
         else:
-            gens, d = [T, Tstar], 1 + (1 << n)
-        assert algebra._stats(orbits, gens, d) is None, n
-        assert algebra._stats(orbits, [T, Tstar], 1 << n) is not None, n
+            gens, d, terms = [T, Tstar], 1 + (1 << n), algebra._LAYER_TERMS[Family.T_TSTAR]
+        assert algebra._stats(orbits, gens, d, terms) is None, n
+        assert algebra._stats(orbits, [T, Tstar], 1 << n,
+                              algebra._LAYER_TERMS[Family.T_TSTAR]) is not None, n
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_every_family_forms_U_to_split_its_closure_by_layers(monkeypatch, family):
+    # the c that _stats hands to layer_projections, as a 2^n x 2^n matrix
+    seen = []
+    real = OrbitBasis.layer_projections
+    monkeypatch.setattr(OrbitBasis, "layer_projections",
+                        lambda self, c: seen.append((self, c)) or real(self, c))
+    for n in range(1, 5):
+        assert algebra.orbit_stats(family, n) is not None, n
+        (orbits, c), = seen
+        assert expand(orbits, c) == _as_dense(op_U(n)), n
+        seen.clear()
+
+
+def test_the_layer_projections_need_distinct_eigenvalues_on_the_layer_keys():
+    orbits = OrbitBasis(3)
+    E = layer_projections(orbits)
+    U = orbits.element(((i, i, i), 3 - 2 * i) for i in range(4))
+    assert orbits.layer_projections(U) == E
+    # lambda_0 = 0 has no key, and is still distinct from the others
+    assert orbits.layer_projections(orbits.element([((1, 1, 1), 5), ((2, 2, 2), 7),
+                                                    ((3, 3, 3), -1)])) == E
+    assert orbits.layer_projections(E[0]) is None  # lambda_1 = lambda_2 = lambda_3 = 0
+    assert orbits.layer_projections(orbits.combine([(1, U), (2, E[1])])) is None  # 3, 3, -1, -3
+    assert orbits.layer_projections(orbits.combine([(1, U), (1, orbits.element([
+        ((1, 1, 0), 1)]))])) is None  # a diagonal key (i, i, t) with t < i
+    assert orbits.layer_projections(orbits.combine([(1, U), (1, orbits.element([
+        ((1, 0, 0), 1)]))])) is None  # an off-diagonal key
+
+
+@pytest.mark.parametrize("family,terms", [
+    # T*T + TT*: keys (i, i, i - 1), and n on every key (i, i, i)
+    (Family.T_TSTAR, [(1, (1, 0)), (1, (0, 1))]),
+    (Family.T_TSTAR, [(1, (1, 0)), (-1, (0, 1)), (1, 0)]),  # U + T: keys (i + 1, i, i)
+    (Family.U, [(1, (0, 0))]),  # U^2: (n - 2i)^2 = (n - 2(n - i))^2
+], ids=["T*T+TT*", "an-off-diagonal-key", "a-repeated-eigenvalue"])
+def test_the_layer_certificate_is_reported(monkeypatch, capsys, family, terms):
+    monkeypatch.setitem(algebra._LAYER_TERMS, family, terms)
+    for n in (4, 7):
+        orbits = OrbitBasis(n)
+        assert algebra._stats(orbits, algebra._orbit_generators(orbits, family), 1 << n,
+                              terms) is None, n
+        message = f"a certificate of the orbit path failed at n={n}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            analyze_family(family, n)
+        assert cli.main(["algebra", "--n", str(n), "--family", family.value]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_the_blocks_of_T_are_its_components_in_order():

@@ -301,16 +301,16 @@ def test_algebra_check_exits_1_when_a_statistic_disagrees(capsys, monkeypatch):
 
 
 def test_algebra_budget_exceeded_exits_2(capsys):
-    code, out, err = run(capsys, "algebra", "--n", "19", "--family", "U")
+    code, out, err = run(capsys, "algebra", "--n", "33", "--family", "U")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "budget" in err
     assert "--allow-large" in err and "allow_large" not in err
 
 
 def test_algebra_large_budget_message_has_no_dangling_separator(capsys):
-    code, out, err = run(capsys, "algebra", "--n", "33", "--family", "T", "--allow-large")
+    code, out, err = run(capsys, "algebra", "--n", "49", "--family", "T", "--allow-large")
     assert code == 2 and out == ""
-    assert err == "error: --n 33 exceeds the budget (32)\n"
+    assert err == "error: --n 49 exceeds the budget (48)\n"
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -525,10 +525,10 @@ def test_the_r_count_budget_is_checked_before_any_matrix(capsys, monkeypatch, co
 CALL_SECONDS = 30
 RATIONALS = ["1", "0", "-1", "2", "3/7", "-5/9", "1/2", "-2/3", "1.5", "-999/1000"]
 # bad tokens, bad rationals (zero and negative denominators) and sizes above
-# some budget: 161 for matrix, 25 for verify, 13 for zeon, 19 for the default
-# algebra budget, 33 for algebra with --allow-large
+# some budget: 161 for matrix, 25 for verify, 13 for zeon, 33 for the default
+# algebra budget, 49 for algebra with --allow-large
 BAD_TOKENS = ["", "x", "--bogus", "-", "1.5.2", "0x10", "--n", "1/0", "0/0", "1/-2",
-              "-1/-2", "abc", "1//2", "/3", "-1", "0", "13", "19", "25", "33", "161", "100000",
+              "-1/-2", "abc", "1//2", "/3", "-1", "0", "13", "25", "33", "49", "161", "100000",
               "--jobs"]
 
 

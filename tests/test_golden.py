@@ -63,8 +63,8 @@ CORPUS = {
     "budget-r-digits": ["matrix", "--n", "6", "--r", "1000000/999999"],
     "budget-r-count": ["verify", "--suite", "pascal", "--max-n", "2",
                        *(f"--r={k}" for k in range(21))],
-    "budget-algebra": ["algebra", "--family", "U", "--n", "19"],
-    "budget-algebra-large": ["algebra", "--family", "U", "--n", "33", "--allow-large"],
+    "budget-algebra": ["algebra", "--family", "U", "--n", "33"],
+    "budget-algebra-large": ["algebra", "--family", "U", "--n", "49", "--allow-large"],
     "bad-zeon-token": ["zeon", "--n", "2", "--op", "foo"],
     "bad-zeon-index": ["zeon", "--n", "2", "--op", "raise:x"],
 }
