@@ -6,9 +6,9 @@ dimension zeta of its centralizer, and the dimension z of its center, all
 exactly over the rationals (fraction-free, on integers).
 
 algebra_stats computes them by the definitions on the d x d matrices: delta
-is the size of A's span closure, z and zeta count the combinations of that
-basis and of the d^2 unit matrices that commute with every generator. It is
-the tests' elimination oracle.
+is the size of A's span closure, and z and zeta are read off ranks, z as delta
+minus the rank of the commutators of that basis with every generator, zeta as
+d^2 minus that of the d^2 unit matrices. It is the tests' elimination oracle.
 
 analyze_family computes them for the three operator families over the
 Boolean lattice in orbits.OrbitBasis(n), the S_n-invariant 2^n x 2^n
@@ -35,7 +35,7 @@ from .combinatorics import binomial, catalan
 from .matrices import build_matrix
 from .orbits import OrbitBasis
 from .report import FrozenRecord, IdentityReport, Record
-from .zeon import RowsRing, ZeonMatrix, op_T, op_Tstar, op_U
+from .zeon import RowsRing, ZeonMatrix, mat_mul, op_T, op_Tstar, op_U
 
 DEFAULT_MAX_N = 32
 LARGE_MAX_N = 48
@@ -138,20 +138,6 @@ class ExactEchelon:
         return False
 
 
-def _relations(vectors, width: int) -> list[dict[int, int]]:
-    """Basis of the integer relations sum_k x[k] * vectors[k] = 0, as {k: x[k]}.
-
-    Each vector gets a tag column width + k before it enters one echelon; the
-    pivots whose lead is a tag column have no part left below ``width``, and
-    they form an echelon basis of the relations (each has its own leading k).
-    """
-    ech = ExactEchelon()
-    for k, vec in enumerate(vectors):
-        ech.insert({**vec, width + k: 1})
-    return [{c - width: v for c, v in piv.items() if c >= width}
-            for lead, piv in sorted(ech.pivots.items()) if lead >= width]
-
-
 # ---------------------------------------------------------------------------
 # the four structure statistics
 # ---------------------------------------------------------------------------
@@ -177,8 +163,7 @@ def _span_closure(ring, gens: list, seeds: list) -> list:
     generator. A pivot is an integer combination of accepted elements divided
     by its content, so the pivots lie in the span and span what the accepted
     elements span, and every pivot is multiplied by every generator.
-    Reduced pivots multiply faster than raw products; the products are
-    returned because center_dimension's commutators are cheaper on them."""
+    Reduced pivots multiply faster than raw products."""
     ech = ExactEchelon()
     basis = [seed for seed in seeds if ech.insert(ring.vec(seed))]
     done = 0
@@ -202,28 +187,12 @@ def span_closure_dimension(generators) -> int:
     return len(_span_closure(ring, gens, [ring.identity()]))
 
 
-def centralizer_dimension(generators) -> int:
-    """Dimension of the space of matrices commuting with every generator."""
-    d, gens = _prepare(generators)
-    units = ({k: {l: 1}} for k in range(d) for l in range(d))
-    return len(_commuting(RowsRing(d), gens, units))
-
-
-def center_dimension(generators) -> int:
-    """Dimension of the center: algebra elements commuting with all generators."""
-    d, gens = _prepare(generators)
-    ring = RowsRing(d)
-    return len(_commuting(ring, gens, _span_closure(ring, gens, [ring.identity()])))
-
-
-def _commuting(ring, gens: list, elements) -> list[dict[int, int]]:
-    """The combinations of ``elements`` that commute with every generator, as
-    coefficient vectors {k: x_k}: over the unit matrices they span the
-    centralizer, over an algebra basis the center.
-
-    One tagged echelon pass over the commutators [b_k, g] of every element
-    with every generator; the relations among them are the answer.
-    """
+def _commutator_rank(ring, gens: list, elements) -> int:
+    """The rank of the commutators [b, g] of the elements b with every
+    generator g: each b's commutators, side by side in one vector of width
+    len(gens) * ring.size, go into one echelon. For independent elements,
+    their number minus this rank is the dimension of their combinations
+    that commute with every generator."""
     width = ring.size
 
     def commutators(b):
@@ -234,16 +203,41 @@ def _commuting(ring, gens: list, elements) -> list[dict[int, int]]:
                     out[idx * width + c] = out.get(idx * width + c, 0) + sign * v
         return out
 
-    return _relations(map(commutators, elements), len(gens) * width)
+    ech = ExactEchelon()
+    return sum(map(ech.insert, map(commutators, elements)))
+
+
+def _units(d: int):
+    """The d^2 unit matrices E_kl, a basis of all d x d matrices."""
+    return ({k: {l: 1}} for k in range(d) for l in range(d))
+
+
+def centralizer_dimension(generators) -> int:
+    """Dimension of the space of matrices commuting with every generator: d^2
+    minus the rank of the commutators of the unit matrices."""
+    d, gens = _prepare(generators)
+    return d * d - _commutator_rank(RowsRing(d), gens, _units(d))
+
+
+def center_dimension(generators) -> int:
+    """Dimension of the center: algebra elements commuting with all generators,
+    the closure's length minus the rank of the commutators of its basis."""
+    d, gens = _prepare(generators)
+    ring = RowsRing(d)
+    basis = _span_closure(ring, gens, [ring.identity()])
+    return len(basis) - _commutator_rank(ring, gens, basis)
 
 
 def algebra_stats(generators) -> AlgebraStats:
     """(d, delta, zeta, z) of the generated unital algebra by the definitions on
-    the d x d matrices: span_closure_dimension, centralizer_dimension and
-    center_dimension."""
-    d, _ = _prepare(generators)
-    return AlgebraStats(d=d, delta=span_closure_dimension(generators),
-                        zeta=centralizer_dimension(generators), z=center_dimension(generators))
+    the d x d matrices, as span_closure_dimension, centralizer_dimension and
+    center_dimension compute them, on one span closure."""
+    d, gens = _prepare(generators)
+    ring = RowsRing(d)
+    basis = _span_closure(ring, gens, [ring.identity()])
+    return AlgebraStats(d=d, delta=len(basis),
+                        zeta=d * d - _commutator_rank(ring, gens, _units(d)),
+                        z=len(basis) - _commutator_rank(ring, gens, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +247,10 @@ def algebra_stats(generators) -> AlgebraStats:
 # A generator set closed under transpose generates a *-algebra A, which is
 # semisimple: A = sum_i M_{d_i}, the i-th component acting on V = Q^d with
 # multiplicity m_i, and z = the number of components, zeta = sum m_i^2. A ring
-# with blocks splits V into modules for A, each with a weight (how often it
-# occurs). In Schrijver's blocks the families take one of two shapes, and
-# _stats reads the components off either; any other shape fails a certificate.
+# with blocks splits V into modules for A, each a (weight, size) pair: how
+# often it occurs and its dimension. In Schrijver's blocks the families take
+# one of two shapes, and _stats reads the components off either; any other
+# shape fails a certificate.
 
 def _full_blocks(blocks: list, images: list) -> list | None:
     """(weight, m) per block of m x m matrices, if the block's images of the
@@ -264,13 +259,13 @@ def _full_blocks(blocks: list, images: list) -> list | None:
     nonzero exactly on the subdiagonal, L, and one exactly on the superdiagonal,
     R: then R^(m-1) L^(m-1) is a nonzero multiple of E_00, and L^a E_00 R^b one
     of E_ab."""
-    for (_, block), bgens in zip(blocks, images):
-        lower = {(a + 1, a) for a in range(block.d - 1)}
+    for (_, m), bgens in zip(blocks, images):
+        lower = {(a + 1, a) for a in range(m - 1)}
         upper = {(a, b) for b, a in lower}
         shapes = [{(i, j) for i, row in x.items() for j in row} for x in bgens]
-        if block.d > 1 and not (lower in shapes and upper in shapes):
+        if m > 1 and not (lower in shapes and upper in shapes):
             return None
-    return [(weight, block.d) for weight, block in blocks]
+    return blocks
 
 
 def _diagonal_blocks(blocks: list, images: list) -> list | None:
@@ -279,10 +274,10 @@ def _diagonal_blocks(blocks: list, images: list) -> list | None:
     the positions of the tuple on the diagonals, each by its block's weight;
     None otherwise."""
     multiplicity: dict[tuple, int] = {}
-    for (weight, block), bgens in zip(blocks, images):
+    for (weight, m), bgens in zip(blocks, images):
         if any(i != j for x in bgens for i, row in x.items() for j in row):
             return None
-        for a in range(block.d):
+        for a in range(m):
             joint = tuple(x.get(a, {}).get(a, 0) for x in bgens)
             multiplicity[joint] = multiplicity.get(joint, 0) + weight
     return [(multiplicity[joint], 1) for joint in sorted(multiplicity)]
@@ -313,8 +308,7 @@ def _stats(ring, gens: list, d: int,
             for e in ({p: 1} for p in ring.diagonal)):
         return None
     images = [ring.block_images(g) for g in gens]
-    if any(ring.block_images(prod) != [block.mul(x, y) for (_, block), x, y
-                                       in zip(blocks, images[i], images[j])]
+    if any(ring.block_images(prod) != list(map(mat_mul, images[i], images[j]))
            for (i, j), prod in products.items()):
         return None
     commutative = all(prod == products[j, i] for (i, j), prod in products.items())

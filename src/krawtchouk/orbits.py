@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import comb
 
-from .zeon import Rows, RowsRing
+from .zeon import Rows
 
 
 class OrbitBasis:
@@ -146,13 +146,14 @@ class OrbitBasis:
             table.append(entries)
         return table
 
-    def blocks(self) -> list[tuple[int, RowsRing]] | None:
-        """The (weight, ring) of each block k = 0..n//2: C(n, k) - C(n, k - 1) and
-        the (n - 2k + 1) x (n - 2k + 1) matrices; None if the block map is refuted."""
+    def blocks(self) -> list[tuple[int, int]] | None:
+        """The (weight, size) of each block k = 0..n//2: C(n, k) - C(n, k - 1) and
+        n - 2k + 1, its images being (n - 2k + 1) x (n - 2k + 1) matrices as rows
+        of the sparse kernel; None if the block map is refuted."""
         if self._block_map is None:
             return None
         C = self._binomial[self.n]
-        return [(C[k] - (C[k - 1] if k else 0), RowsRing(self.n - 2 * k + 1))
+        return [(C[k] - (C[k - 1] if k else 0), self.n - 2 * k + 1)
                 for k in range(self.n // 2 + 1)]
 
     def block_images(self, x: dict[int, int]) -> list[Rows]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 MAX_STORED = 100
+# not via __dict__: a dict made in __init__ slows every attribute read
+_setattr = object.__setattr__
 
 
 class Record:
@@ -16,42 +18,31 @@ class Record:
     FIELDS: tuple[str, ...] = ()
     DEFAULTS: dict = {}
 
-    def __init_subclass__(cls, **kwargs):
-        """Give each subclass an __init__ bound to its own fields, with a fast
-        path for every field given by position."""
-        super().__init_subclass__(**kwargs)
-        fields, defaults = cls.FIELDS, cls.DEFAULTS
-        count = len(fields)
-        # not via __dict__: a dict made here slows every attribute read
-        setattr_ = object.__setattr__
+    def __init__(self, *args, **kwargs):
+        fields = type(self).FIELDS
+        if args:
+            if not kwargs and len(args) == len(fields):  # the fast path
+                for name, value in zip(fields, args):
+                    _setattr(self, name, value)
+                return
+            if len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[:len(args)]):
+                raise self._refused(args, kwargs)
+            kwargs.update(zip(fields, args))
+        used, defaults = 0, self.DEFAULTS
+        for name in fields:
+            if name in kwargs:
+                value = kwargs[name]
+                used += 1
+            elif name in defaults:
+                value = defaults[name]()
+            else:
+                raise self._refused(args, kwargs)
+            _setattr(self, name, value)
+        if used < len(kwargs):
+            raise self._refused(args, kwargs)  # an unknown keyword
 
-        def refused(args, kwargs):
-            return TypeError(f"{cls.__name__}{fields} given {args}, {kwargs}")
-
-        def __init__(self, *args, **kwargs):
-            if args:
-                if not kwargs and len(args) == count:
-                    for name, value in zip(fields, args):
-                        setattr_(self, name, value)
-                    return
-                if len(args) > count or not kwargs.keys().isdisjoint(fields[:len(args)]):
-                    raise refused(args, kwargs)
-                kwargs.update(zip(fields, args))
-            used = 0
-            for name in fields:
-                if name in kwargs:
-                    value = kwargs[name]
-                    used += 1
-                elif name in defaults:
-                    value = defaults[name]()
-                else:
-                    raise refused(args, kwargs)
-                setattr_(self, name, value)
-            if used < len(kwargs):
-                raise refused(args, kwargs)  # an unknown keyword
-
-        __init__.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = __init__
+    def _refused(self, args, kwargs) -> TypeError:
+        return TypeError(f"{type(self).__name__}{self.FIELDS} given {args}, {kwargs}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, field) for field in self.FIELDS)

@@ -76,8 +76,9 @@ def transpose(A: Rows) -> Rows:
 
 
 class RowsRing:
-    """The d x d integer matrices as rows of the kernel, with the operations the
-    algebra statistics need; an element's vector is its row-major vectorization."""
+    """The d x d integer matrices as rows of the kernel, with the operations that
+    algebra_stats, the statistics by the definitions, needs; an element's vector
+    is its row-major vectorization."""
 
     mul = staticmethod(mat_mul)
 
