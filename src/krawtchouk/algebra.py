@@ -22,8 +22,10 @@ most n + 1, by the shape of the generators' block images: for T, T's image
 in every block is nonzero exactly on the subdiagonal and T*'s exactly on the
 superdiagonal, so A's image is all m x m matrices, one component; for U and
 TT every generator's block image is diagonal, and each distinct tuple of
-joint eigenvalues is a component of degree 1. Certificates tie the blocks
-to the orbit basis; any other shape fails one.
+joint eigenvalues is a component of degree 1. OrbitBasis.blocks() certifies
+what depends on n alone: the map keeps the trace, and the blocks by weight
+fill Q^(2^n). _stats keeps the family's certificates, which tie the blocks
+to the generators; any other shape fails one.
 """
 from __future__ import annotations
 
@@ -283,29 +285,26 @@ def _diagonal_blocks(blocks: list, images: list) -> list | None:
     return [(multiplicity[joint], 1) for joint in sorted(multiplicity)]
 
 
-def _stats(ring, gens: list, d: int,
-           layer_terms: list) -> tuple[AlgebraStats, ComponentSpec] | None:
+def _stats(ring, gens: list, layer_terms: list) -> tuple[AlgebraStats, ComponentSpec] | None:
     """The statistics and the components of the unital algebra A that gens
-    generate in ring, whose elements are d x d matrices, read off the ring's
-    blocks: by _full_blocks for generators that do not commute, else by
-    _diagonal_blocks. The span closure starts from ring.layer_projections(c),
-    polynomials in c that sum to the identity, where c = sum coef * gens[k]
-    or coef * gens[k] gens[l] over the (coef, k or (k, l)) pairs of layer_terms.
-    None when a certificate fails: gens closed under transpose; c has layer
-    projections; on the unit vector of every diagonal key, so on every
-    element, the blocks' weighted traces equal ring.trace; the block images
-    of every product g h of two generators are the products of their images;
-    sum m_i d_i = d, the blocks by weight fill Q^d; and sum d_i^2 = delta,
-    the blocks' images add up to A."""
+    generate in ring, read off the ring's blocks: by _full_blocks for
+    generators that do not commute, else by _diagonal_blocks. The span closure
+    starts from ring.layer_projections(c), polynomials in c that sum to the
+    identity, where c = sum coef * gens[k] or coef * gens[k] gens[l] over the
+    (coef, k or (k, l)) pairs of layer_terms. None when ring.blocks() refutes
+    the block map (it certifies the trace and sum m_i d_i = d, which depend on
+    the ring alone, so d is read off the components), or when one of the
+    family's certificates fails: gens closed under transpose; c has layer
+    projections; the block images of every product g h of two generators are
+    the products of their images; the shape that the block reader needs; and
+    sum d_i^2 = delta, the blocks' images add up to A."""
     if any(ring.transpose(g) not in gens for g in gens):
         return None  # not a *-algebra: semisimplicity is not guaranteed
     products = {(i, j): ring.mul(g, h) for i, g in enumerate(gens) for j, h in enumerate(gens)}
     seeds = ring.layer_projections(ring.combine(
         (coef, products[k] if isinstance(k, tuple) else gens[k]) for coef, k in layer_terms))
     blocks = ring.blocks()
-    if seeds is None or blocks is None or any(
-            ring.trace(e) != sum(w * tr for (w, _), tr in zip(blocks, ring.block_traces(e)))
-            for e in ({p: 1} for p in ring.diagonal)):
+    if seeds is None or blocks is None:
         return None
     images = [ring.block_images(g) for g in gens]
     if any(ring.block_images(prod) != list(map(mat_mul, images[i], images[j]))
@@ -317,9 +316,10 @@ def _stats(ring, gens: list, d: int,
         return None
     spec = ComponentSpec(tuple(comps))
     delta = len(_span_closure(ring, gens, seeds))
-    if spec.degree_sum != d or spec.dimension != delta:
+    if spec.dimension != delta:
         return None
-    return AlgebraStats(d=d, delta=delta, zeta=spec.centralizer_dim, z=spec.count), spec
+    return AlgebraStats(d=spec.degree_sum, delta=delta, zeta=spec.centralizer_dim,
+                        z=spec.count), spec
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +428,11 @@ def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | 
     """algebra_stats(family_generators(family, n)) and the components, computed
     by _stats in the S_n orbit basis and Schrijver's blocks (OrbitBasis.blocks),
     with the span closure seeded by the layer projections, polynomials in U.
-    None when a certificate of _stats fails, or a division of the block map
-    leaves a remainder."""
+    None when OrbitBasis.blocks() refutes the block map (a division leaves a
+    remainder, the map loses the trace, or the blocks do not fill Q^(2^n)),
+    or when a certificate of the family fails in _stats."""
     orbits = OrbitBasis(n)
-    return _stats(orbits, _orbit_generators(orbits, family), 1 << n, _LAYER_TERMS[family])
+    return _stats(orbits, _orbit_generators(orbits, family), _LAYER_TERMS[family])
 
 
 class AlgebraComparison(Record):

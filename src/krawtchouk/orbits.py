@@ -17,8 +17,10 @@ j - k) (see _beta): Schrijver's symmetric blocks conjugated by a diagonal
 matrix, so that every entry is an integer. The map is multiplicative and
 unital, the trace on Q^(2^n) is the weighted sum of the blocks' traces, and
 the adjoint is the transpose weighted by the binomials, X(x^T)[b][a] =
-X(x)[a][b] C(n - 2k, b) / C(n - 2k, a). A division that leaves a remainder
-refutes the map; the algebra statistics then report a failed certificate.
+X(x)[a][b] C(n - 2k, b) / C(n - 2k, a). blocks() certifies what depends on n
+alone: every division is exact, the map keeps the trace, and the blocks by
+weight fill Q^(2^n). A map that fails refutes itself; the algebra statistics
+then report a failed certificate.
 """
 from __future__ import annotations
 
@@ -30,10 +32,10 @@ from .zeon import Rows
 
 class OrbitBasis:
     """The orbit matrices for one n, with the products of pairs cached, and
-    Schrijver's block map, built on first use: blocks, block_images and
-    block_traces are the blocks off which algebra._stats reads the Wedderburn
-    components. layer_projections gives the M[i, i, i] that seed its span
-    closure: a product x M[j, k, s] keeps x's row layers."""
+    Schrijver's block map, built on first use: blocks and block_images are the
+    blocks off which algebra._stats reads the Wedderburn components.
+    layer_projections gives the M[i, i, i] that seed its span closure: a
+    product x M[j, k, s] keeps x's row layers."""
 
     def __init__(self, n: int):
         self.n = n
@@ -113,11 +115,6 @@ class OrbitBasis:
         keys, index = self.keys, self.index
         return {index[keys[k][1], keys[k][0], keys[k][2]]: v for k, v in x.items()}
 
-    def trace(self, x: dict[int, int]) -> int:
-        """The trace on Q^(2^n): M[i, i, i] is the identity on the C(n, i) sets of layer i."""
-        C, layers = self._binomial[self.n], self._layers
-        return sum(C[layers[p]] * v for p, v in x.items() if p in layers)
-
     def _beta(self, i: int, j: int, t: int, k: int) -> int:
         """beta(i, j, t, k) = sum_u (-1)^(u - t) C(u, t) C(n - 2k, u - k)
         C(n - k - u, i - u) C(n - k - u, j - u), for k <= i, j <= n - k."""
@@ -149,12 +146,21 @@ class OrbitBasis:
     def blocks(self) -> list[tuple[int, int]] | None:
         """The (weight, size) of each block k = 0..n//2: C(n, k) - C(n, k - 1) and
         n - 2k + 1, its images being (n - 2k + 1) x (n - 2k + 1) matrices as rows
-        of the sparse kernel; None if the block map is refuted."""
-        if self._block_map is None:
+        of the sparse kernel. None if the map is refuted: a division leaves a
+        remainder; the weighted traces of some M[i, i, t]'s block images miss its
+        trace on Q^(2^n), C(n, i) at t = i and 0 otherwise; or sum weight * size
+        != 2^n. Both traces read the keys (i, i, t) alone, so the map keeps every
+        trace; and both block readers of algebra._stats give sum m_i d_i = 2^n."""
+        table = self._block_map
+        if table is None:
             return None
-        C = self._binomial[self.n]
-        return [(C[k] - (C[k - 1] if k else 0), self.n - 2 * k + 1)
-                for k in range(self.n // 2 + 1)]
+        n, C = self.n, self._binomial[self.n]
+        blocks = [(C[k] - (C[k - 1] if k else 0), n - 2 * k + 1) for k in range(n // 2 + 1)]
+        if sum(weight * size for weight, size in blocks) != 1 << n or any(
+                sum(blocks[k][0] * value for k, _, _, value in entries) != (C[i] if t == i else 0)
+                for (i, j, t), entries in zip(self.keys, table) if i == j):
+            return None
+        return blocks
 
     def block_images(self, x: dict[int, int]) -> list[Rows]:
         """The image of x in every block, as rows of the sparse kernel."""
@@ -166,18 +172,3 @@ class OrbitBasis:
         return [{a: row for a, row in ((a, {b: w for b, w in row.items() if w})
                                        for a, row in image.items()) if row}
                 for image in images]
-
-    def block_traces(self, x: dict[int, int]) -> list[int]:
-        """The trace of x's image in every block, read from the diagonal keys
-        (i, i, t) of x alone."""
-        traces = [0] * (self.n // 2 + 1)
-        for p, v in x.items():
-            if p in self.diagonal:
-                for k, _, _, value in self._block_map[p]:
-                    traces[k] += v * value
-        return traces
-
-    @cached_property
-    def diagonal(self) -> frozenset[int]:
-        """The indices of the keys (i, i, t): trace and block_traces read no other."""
-        return frozenset(p for p, (i, j, _) in enumerate(self.keys) if i == j)
