@@ -25,7 +25,8 @@ TT every generator's block image is diagonal, and each distinct tuple of
 joint eigenvalues is a component of degree 1. OrbitBasis.blocks() certifies
 what depends on n alone: the map keeps the trace, and the blocks by weight
 fill Q^(2^n). _stats keeps the family's certificates, which tie the blocks
-to the generators; any other shape fails one.
+to the generators. A check that fails raises CertificateFailed by its name:
+transpose, layers, division, trace, fill, block-products, shape, dimension.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 from .combinatorics import binomial, catalan
 from .matrices import build_matrix
-from .orbits import OrbitBasis
+from .orbits import CertificateFailed, OrbitBasis
 from .report import FrozenRecord, IdentityReport, Record
 from .zeon import RowsRing, ZeonMatrix, mat_mul, op_T, op_Tstar, op_U
 
@@ -254,70 +255,66 @@ def algebra_stats(generators) -> AlgebraStats:
 # one of two shapes, and _stats reads the components off either; any other
 # shape fails a certificate.
 
-def _full_blocks(blocks: list, images: list) -> list | None:
+def _full_blocks(blocks: list, images: list) -> list:
     """(weight, m) per block of m x m matrices, if the block's images of the
-    generators generate all m^2 of them by their shape; None otherwise. A 1 x 1
-    block is full by the identity alone. A larger block needs one image that is
-    nonzero exactly on the subdiagonal, L, and one exactly on the superdiagonal,
-    R: then R^(m-1) L^(m-1) is a nonzero multiple of E_00, and L^a E_00 R^b one
-    of E_ab."""
+    generators generate all m^2 of them by their shape; else the shape
+    certificate fails, at n = block 0's size - 1. A 1 x 1 block is full by the
+    identity alone. A larger block needs one image that is nonzero exactly on
+    the subdiagonal, L, and one exactly on the superdiagonal, R: then
+    R^(m-1) L^(m-1) is a nonzero multiple of E_00, and L^a E_00 R^b one of E_ab."""
     for (_, m), bgens in zip(blocks, images):
         lower = {(a + 1, a) for a in range(m - 1)}
         upper = {(a, b) for b, a in lower}
         shapes = [{(i, j) for i, row in x.items() for j in row} for x in bgens]
         if m > 1 and not (lower in shapes and upper in shapes):
-            return None
+            raise CertificateFailed("shape", blocks[0][1] - 1)
     return blocks
 
 
-def _diagonal_blocks(blocks: list, images: list) -> list | None:
+def _diagonal_blocks(blocks: list, images: list) -> list:
     """(m, 1) per distinct tuple of the generators' joint eigenvalues,
     ascending, if every generator's image in every block is diagonal: m counts
     the positions of the tuple on the diagonals, each by its block's weight;
-    None otherwise."""
+    else shape fails, as in _full_blocks."""
     multiplicity: dict[tuple, int] = {}
     for (weight, m), bgens in zip(blocks, images):
         if any(i != j for x in bgens for i, row in x.items() for j in row):
-            return None
+            raise CertificateFailed("shape", blocks[0][1] - 1)
         for a in range(m):
             joint = tuple(x.get(a, {}).get(a, 0) for x in bgens)
             multiplicity[joint] = multiplicity.get(joint, 0) + weight
     return [(multiplicity[joint], 1) for joint in sorted(multiplicity)]
 
 
-def _stats(ring, gens: list, layer_terms: list) -> tuple[AlgebraStats, ComponentSpec] | None:
+def _stats(ring, gens: list, layer_terms: list) -> tuple[AlgebraStats, ComponentSpec]:
     """The statistics and the components of the unital algebra A that gens
     generate in ring, read off the ring's blocks: by _full_blocks for
     generators that do not commute, else by _diagonal_blocks. The span closure
     starts from ring.layer_projections(c), polynomials in c that sum to the
     identity, where c = sum coef * gens[k] or coef * gens[k] gens[l] over the
-    (coef, k or (k, l)) pairs of layer_terms. None when ring.blocks() refutes
-    the block map (it certifies the trace and sum m_i d_i = d, which depend on
-    the ring alone, so d is read off the components), or when one of the
-    family's certificates fails: gens closed under transpose; c has layer
-    projections; the block images of every product g h of two generators are
-    the products of their images; the shape that the block reader needs; and
-    sum d_i^2 = delta, the blocks' images add up to A."""
-    if any(ring.transpose(g) not in gens for g in gens):
-        return None  # not a *-algebra: semisimplicity is not guaranteed
+    (coef, k or (k, l)) pairs of layer_terms. The first check that fails, in
+    this order, raises CertificateFailed: transpose, gens closed under
+    transpose; layers, c has layer projections; division, fill and trace, in
+    ring.blocks() (it certifies sum m_i d_i = d, so d is read off the
+    components); block-products, the block images of every product of two
+    generators are the products of their images; shape, the block reader's;
+    dimension, sum d_i^2 = delta: the blocks' images add up to A."""
+    if any(ring.transpose(g) not in gens for g in gens):  # semisimplicity needs a *-algebra
+        raise CertificateFailed("transpose", ring.n)
     products = {(i, j): ring.mul(g, h) for i, g in enumerate(gens) for j, h in enumerate(gens)}
     seeds = ring.layer_projections(ring.combine(
         (coef, products[k] if isinstance(k, tuple) else gens[k]) for coef, k in layer_terms))
     blocks = ring.blocks()
-    if seeds is None or blocks is None:
-        return None
     images = [ring.block_images(g) for g in gens]
     if any(ring.block_images(prod) != list(map(mat_mul, images[i], images[j]))
            for (i, j), prod in products.items()):
-        return None
+        raise CertificateFailed("block-products", ring.n)
     commutative = all(prod == products[j, i] for (i, j), prod in products.items())
     comps = (_diagonal_blocks if commutative else _full_blocks)(blocks, list(zip(*images)))
-    if comps is None:
-        return None
     spec = ComponentSpec(tuple(comps))
     delta = len(_span_closure(ring, gens, seeds))
     if spec.dimension != delta:
-        return None
+        raise CertificateFailed("dimension", ring.n)
     return AlgebraStats(d=spec.degree_sum, delta=delta, zeta=spec.centralizer_dim,
                         z=spec.count), spec
 
@@ -424,13 +421,11 @@ _LAYER_TERMS = {Family.U: [(1, 0)], Family.T_TSTAR: [(1, (1, 0)), (-1, (0, 1))],
                 Family.TTSTAR_TSTART: [(1, 1), (-1, 0)]}
 
 
-def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec] | None:
+def orbit_stats(family: Family, n: int) -> tuple[AlgebraStats, ComponentSpec]:
     """algebra_stats(family_generators(family, n)) and the components, computed
     by _stats in the S_n orbit basis and Schrijver's blocks (OrbitBasis.blocks),
     with the span closure seeded by the layer projections, polynomials in U.
-    None when OrbitBasis.blocks() refutes the block map (a division leaves a
-    remainder, the map loses the trace, or the blocks do not fill Q^(2^n)),
-    or when a certificate of the family fails in _stats."""
+    A failed certificate raises CertificateFailed, as _stats lists them."""
     orbits = OrbitBasis(n)
     return _stats(orbits, _orbit_generators(orbits, family), _LAYER_TERMS[family])
 
@@ -472,18 +467,16 @@ def analyze_family(family: Family, n: int, allow_large: bool = False) -> Algebra
     """Compute the four statistics for one operator family and compare.
 
     The statistics come from orbit_stats alone: a failed certificate raises
-    ValueError. The budget, n <= DEFAULT_MAX_N (32) or n <= LARGE_MAX_N (48)
-    with allow_large, and n >= 1 (predicted_stats) are checked first.
+    CertificateFailed, a ValueError that names it (see _stats). The budget,
+    n <= DEFAULT_MAX_N (32) or n <= LARGE_MAX_N (48) with allow_large, and
+    n >= 1 (predicted_stats) are checked first.
     """
     limit = LARGE_MAX_N if allow_large else DEFAULT_MAX_N
     if n > limit:
         hint = "" if allow_large else f"; pass --allow-large to permit --n {LARGE_MAX_N}"
         raise BudgetError(f"--n {n} exceeds the budget ({limit}){hint}")
     predicted, comps = predicted_stats(family, n)
-    result = orbit_stats(family, n)
-    if result is None:
-        raise ValueError(f"a certificate of the orbit path failed at n={n}")
-    computed, computed_components = result
+    computed, computed_components = orbit_stats(family, n)
 
     comparison = AlgebraComparison(
         family=family, n=n, computed=computed, predicted=predicted, components=comps,

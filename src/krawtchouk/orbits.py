@@ -18,9 +18,8 @@ matrix, so that every entry is an integer. The map is multiplicative and
 unital, the trace on Q^(2^n) is the weighted sum of the blocks' traces, and
 the adjoint is the transpose weighted by the binomials, X(x^T)[b][a] =
 X(x)[a][b] C(n - 2k, b) / C(n - 2k, a). blocks() certifies what depends on n
-alone: every division is exact, the map keeps the trace, and the blocks by
-weight fill Q^(2^n). A map that fails refutes itself; the algebra statistics
-then report a failed certificate.
+alone, and a map that fails refutes itself: CertificateFailed names the
+division, fill or trace certificate (see blocks).
 """
 from __future__ import annotations
 
@@ -28,6 +27,14 @@ from functools import cached_property
 from math import comb
 
 from .zeon import Rows
+
+
+class CertificateFailed(ValueError):
+    """A certificate of the orbit path refused at n; algebra._stats lists the names."""
+
+    def __init__(self, name: str, n: int):
+        super().__init__(f"the {name} certificate of the orbit path failed at n={n}")
+        self.name, self.n = name, n
 
 
 class OrbitBasis:
@@ -53,12 +60,12 @@ class OrbitBasis:
     def identity(self) -> dict[int, int]:
         return dict.fromkeys(self._layers, 1)
 
-    def layer_projections(self, c: dict[int, int]) -> list[dict[int, int]] | None:
+    def layer_projections(self, c: dict[int, int]) -> list[dict[int, int]]:
         """The layer projections M[i, i, i], i = 0..n, if c = sum_i lambda_i
-        M[i, i, i] with distinct lambda_i, so each is a polynomial in c; else None."""
+        M[i, i, i] with distinct lambda_i, so each is a polynomial in c; else layers fails."""
         eigenvalues = [c.get(p, 0) for p in self._layers]
         if len(c) != sum(map(bool, eigenvalues)) or len(set(eigenvalues)) != len(eigenvalues):
-            return None
+            raise CertificateFailed("layers", self.n)
         return [{p: 1} for p in self._layers]
 
     def combine(self, terms) -> dict[int, int]:
@@ -126,10 +133,10 @@ class OrbitBasis:
         return beta
 
     @cached_property
-    def _block_map(self) -> list[list[tuple[int, int, int, int]]] | None:
+    def _block_map(self) -> list[list[tuple[int, int, int, int]]]:
         """Per key (i, j, t), the entries (k, i - k, j - k, value) of its block
-        images that are not 0; None if a division by C(n - 2k, j - k) leaves a
-        remainder, which refutes the map."""
+        images that are not 0. The division certificate fails if a division by
+        C(n - 2k, j - k) leaves a remainder, which refutes the map."""
         n, C = self.n, self._binomial
         table = []
         for i, j, t in self.keys:
@@ -137,29 +144,29 @@ class OrbitBasis:
             for k in range(min(i, j, n - i, n - j) + 1):
                 value, rem = divmod(self._beta(i, j, t, k), C[n - 2 * k][j - k])
                 if rem:
-                    return None
+                    raise CertificateFailed("division", n)
                 if value:
                     entries.append((k, i - k, j - k, value))
             table.append(entries)
         return table
 
-    def blocks(self) -> list[tuple[int, int]] | None:
+    def blocks(self) -> list[tuple[int, int]]:
         """The (weight, size) of each block k = 0..n//2: C(n, k) - C(n, k - 1) and
         n - 2k + 1, its images being (n - 2k + 1) x (n - 2k + 1) matrices as rows
-        of the sparse kernel. None if the map is refuted: a division leaves a
-        remainder; the weighted traces of some M[i, i, t]'s block images miss its
-        trace on Q^(2^n), C(n, i) at t = i and 0 otherwise; or sum weight * size
-        != 2^n. Both traces read the keys (i, i, t) alone, so the map keeps every
-        trace; and both block readers of algebra._stats give sum m_i d_i = 2^n."""
+        of the sparse kernel. It refutes the map by the division certificate if a
+        division leaves a remainder; by fill if sum weight * size != 2^n; by trace
+        if the weighted traces of some M[i, i, t]'s block images miss its trace on
+        Q^(2^n), C(n, i) at t = i and 0 otherwise. Both traces read the keys
+        (i, i, t) alone, so the map keeps every trace; and both block readers of
+        algebra._stats give sum m_i d_i = 2^n."""
         table = self._block_map
-        if table is None:
-            return None
         n, C = self.n, self._binomial[self.n]
         blocks = [(C[k] - (C[k - 1] if k else 0), n - 2 * k + 1) for k in range(n // 2 + 1)]
-        if sum(weight * size for weight, size in blocks) != 1 << n or any(
-                sum(blocks[k][0] * value for k, _, _, value in entries) != (C[i] if t == i else 0)
-                for (i, j, t), entries in zip(self.keys, table) if i == j):
-            return None
+        if sum(weight * size for weight, size in blocks) != 1 << n:
+            raise CertificateFailed("fill", n)
+        if any(sum(blocks[k][0] * value for k, _, _, value in entries) != (C[i] if t == i else 0)
+               for (i, j, t), entries in zip(self.keys, table) if i == j):
+            raise CertificateFailed("trace", n)
         return blocks
 
     def block_images(self, x: dict[int, int]) -> list[Rows]:

@@ -11,6 +11,7 @@ from krawtchouk import algebra, cli
 from krawtchouk.algebra import (
     AlgebraStats,
     BudgetError,
+    CertificateFailed,
     ComponentSpec,
     Family,
     algebra_stats,
@@ -414,6 +415,12 @@ def test_a_non_square_generator_is_refused():
         algebra_stats([[[1, 0], [0]]])
 
 
+def refused(name, n):
+    """What a refusal by the certificate name says, at n."""
+    return pytest.raises(CertificateFailed,
+                         match=f"^the {name} certificate of the orbit path failed at n={n}$")
+
+
 def test_the_orbit_path_refuses_a_block_image_off_its_shape(monkeypatch, capsys):
     # T's image in block 0 loses its subdiagonal entry (1, 0): L is no longer
     # nonzero on the whole subdiagonal, and the shape reader refuses the block
@@ -424,11 +431,12 @@ def test_the_orbit_path_refuses_a_block_image_off_its_shape(monkeypatch, capsys)
         T = {i: row for i, row in T.items() if i != 1}
         return real(blocks, [(T, *rest), *others])
 
-    assert algebra.orbit_stats(Family.T_TSTAR, 3) is not None
+    assert algebra.orbit_stats(Family.T_TSTAR, 3)
     monkeypatch.setattr(algebra, "_full_blocks", zeroed)
-    assert algebra.orbit_stats(Family.T_TSTAR, 3) is None
-    message = "a certificate of the orbit path failed at n=3"
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with refused("shape", 3):
+        algebra.orbit_stats(Family.T_TSTAR, 3)
+    message = "the shape certificate of the orbit path failed at n=3"
+    with refused("shape", 3):
         analyze_family(Family.T_TSTAR, 3)
     assert cli.main(["algebra", "--family", "T", "--n", "3"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -460,25 +468,31 @@ def test_the_diagonal_reader_counts_joint_eigenvalues(diagonals):
 def test_the_diagonal_reader_refuses_an_off_diagonal_entry():
     blocks = [(1, 1), (1, 2)]
     assert algebra._diagonal_blocks(blocks, [[{0: {0: 1}}], [diagonal(1, 2)]]) == [(2, 1), (1, 1)]
-    # N = [[0, 1], [0, 0]] commutes with itself and with I, but is not diagonal
-    assert algebra._diagonal_blocks(blocks, [[{0: {0: 1}}], [{0: {1: 1}}]]) is None
-    assert algebra._diagonal_blocks(blocks, [[{}, {}], [diagonal(1, 1), {0: {1: 1}}]]) is None
+    # N = [[0, 1], [0, 0]] commutes with itself and with I, but is not diagonal;
+    # a reader takes n from block 0, of size n + 1
+    with refused("shape", 0):
+        algebra._diagonal_blocks(blocks, [[{0: {0: 1}}], [{0: {1: 1}}]])
+    with refused("shape", 0):
+        algebra._diagonal_blocks(blocks, [[{}, {}], [diagonal(1, 1), {0: {1: 1}}]])
 
 
 def test_the_full_block_reader_needs_a_subdiagonal_and_a_superdiagonal_image():
     blocks = [(3, 2), (1, 1)]
     E, F = {0: {1: 1}}, {1: {0: 1}}  # they generate all 2 x 2 matrices
     assert algebra._full_blocks(blocks, [[E, F], [{}, {}]]) == [(3, 2), (1, 1)]
-    assert algebra._full_blocks(blocks, [[E, E], [{}, {}]]) is None  # no subdiagonal image
-    assert algebra._full_blocks(blocks, [[F, F], [{}, {}]]) is None  # no superdiagonal image
-    assert algebra._full_blocks(blocks, [[diagonal(1, 2), diagonal(2, 1)], [{}, {}]]) is None
+    # no subdiagonal image, no superdiagonal image, and neither
+    for images in ([E, E], [F, F], [diagonal(1, 2), diagonal(2, 1)]):
+        with refused("shape", 1):
+            algebra._full_blocks(blocks, [images, [{}, {}]])
     L, R = {1: {0: 2}, 2: {1: -1}}, {0: {1: 3}, 1: {2: 1}}
     assert algebra._full_blocks([(1, 3)], [[R, L]]) == [(1, 3)]
     # a missing subdiagonal entry, and an entry off the subdiagonal: I + L and R
     # still generate all 3 x 3 matrices, but only the shape L is read
-    assert algebra._full_blocks([(1, 3)], [[R, {2: {1: -1}}]]) is None
+    with refused("shape", 2):
+        algebra._full_blocks([(1, 3)], [[R, {2: {1: -1}}]])
     IL = {0: {0: 1}, 1: {0: 2, 1: 1}, 2: {1: -1, 2: 1}}
-    assert algebra._full_blocks([(1, 3)], [[R, IL]]) is None
+    with refused("shape", 2):
+        algebra._full_blocks([(1, 3)], [[R, IL]])
     assert span_closure_dimension([dense(R, 3), dense(IL, 3)]) == 9
 
 
@@ -511,7 +525,11 @@ def block_images(max_m):
 def test_a_block_full_by_its_shape_closes_to_all_m_by_m_matrices(case):
     # the generic closure is the shape reader's oracle
     m, images = case
-    if algebra._full_blocks([(1, m)], [images]) is not None:
+    try:
+        algebra._full_blocks([(1, m)], [images])
+    except CertificateFailed as refusal:
+        assert refusal.name == "shape"
+    else:
         assert span_closure_dimension([dense(x, m) for x in images]) == m * m
 
 
@@ -626,14 +644,21 @@ def beta_plus_one_below_the_diagonal(self, i, j, t, k):
     return BETA(self, i, j, t, k) + extra
 
 
+SPAN_CLOSURE = algebra._span_closure
+
+# mutant: (the certificate that must refuse it, and the object, attribute and
+# value that the mutant patches)
 BROKEN = {
-    "trace": ("_beta", beta_plus_one_below_the_diagonal),
+    "trace": ("trace", OrbitBasis, "_beta", beta_plus_one_below_the_diagonal),
     # T* = 2 T^T, and the generators are not closed under the doubled transpose
-    "transpose": ("transpose", lambda self, x: {k: 2 * v for k, v in TRANSPOSE(self, x).items()}),
+    "transpose": ("transpose", OrbitBasis, "transpose",
+                  lambda self, x: {k: 2 * v for k, v in TRANSPOSE(self, x).items()}),
     # a division of the block map leaves a remainder
-    "block-map": ("_beta", lambda self, *key: BETA(self, *key) + 1),
+    "block-map": ("division", OrbitBasis, "_beta", lambda self, *key: BETA(self, *key) + 1),
     # the images of the generators' products are not the products of their images
-    "block-product": ("_beta", beta_with_j_for_i),
+    "block-product": ("block-products", OrbitBasis, "_beta", beta_with_j_for_i),
+    # the closure of _stats loses its last element, so delta is one too small
+    "closure": ("dimension", algebra, "_span_closure", lambda *args: SPAN_CLOSURE(*args)[:-1]),
 }
 # U's and TT's generators have only keys (i, i, t), which the swap keeps
 UNTOUCHED = {(Family.U, "block-product"), (Family.TTSTAR_TSTART, "block-product")}
@@ -644,12 +669,16 @@ UNTOUCHED = {(Family.U, "block-product"), (Family.TTSTAR_TSTART, "block-product"
     if (family, broken) not in UNTOUCHED
 ], ids=str)
 def test_a_failing_orbit_certificate_is_reported(monkeypatch, capsys, family, broken):
-    # at every n: no other path answers in its place, and it is no budget error
-    monkeypatch.setattr(OrbitBasis, *BROKEN[broken])
+    # at every n, by the certificate that refuses the mutant: no other path
+    # answers in its place, and it is no budget error
+    name, target, attribute, value = BROKEN[broken]
+    monkeypatch.setattr(target, attribute, value)
     for n in (4, 7):
-        message = f"a certificate of the orbit path failed at n={n}"
-        assert algebra.orbit_stats(family, n) is None
-        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        message = f"the {name} certificate of the orbit path failed at n={n}"
+        with refused(name, n) as exc:
+            algebra.orbit_stats(family, n)
+        assert (exc.value.name, exc.value.n) == (name, n)
+        with refused(name, n) as exc:
             analyze_family(family, n)
         assert not isinstance(exc.value, BudgetError)
         assert cli.main(["algebra", "--n", str(n), "--family", family.value]) == 2
@@ -696,7 +725,7 @@ def test_the_block_map_is_multiplicative_and_keeps_the_trace_and_the_adjoint(cas
 
 @pytest.mark.parametrize("n", [*range(1, 19), algebra.LARGE_MAX_N])
 def test_the_blocks_have_the_algebra_s_dimension_and_act_on_2_to_the_n(n):
-    blocks = OrbitBasis(n).blocks()  # None if a division left a remainder
+    blocks = OrbitBasis(n).blocks()  # it raises if a division left a remainder
     assert [size for _, size in blocks] == list(range(n + 1, 0, -2))
     assert sum(size ** 2 for _, size in blocks) == binomial(n + 3, 3)
     assert sum(weight * size for weight, size in blocks) == 1 << n
@@ -717,7 +746,8 @@ def test_the_blocks_refuse_a_map_that_loses_the_trace(monkeypatch):
 
     monkeypatch.setattr(OrbitBasis, "_block_map", property(doubled))
     for n in range(1, 8):
-        assert OrbitBasis(n).blocks() is None, n
+        with refused("trace", n):
+            OrbitBasis(n).blocks()
 
 
 def test_the_orbit_path_runs_no_center_pass(monkeypatch):
@@ -727,7 +757,7 @@ def test_the_orbit_path_runs_no_center_pass(monkeypatch):
     monkeypatch.setattr(algebra, "_commutator_rank", refuse)
     for family in Family:
         for n in range(1, 9):
-            assert algebra.orbit_stats(family, n) is not None, (family, n)
+            assert algebra.orbit_stats(family, n), (family, n)
 
 
 def test_the_block_reading_refuses_a_failed_certificate():
@@ -740,9 +770,9 @@ def test_the_block_reading_refuses_a_failed_certificate():
         # (T* + U) T - T (T* + U) = U - 2 T, so c is U again
         gens = [T, orbits.combine([(1, Tstar), (1, U)])]
         terms = [(1, (1, 0)), (-1, (0, 1)), (2, 0)]
-        assert algebra._stats(orbits, gens, terms) is None, n
-        assert algebra._stats(orbits, [T, Tstar], algebra._LAYER_TERMS[Family.T_TSTAR]) \
-            is not None, n
+        with refused("transpose", n):
+            algebra._stats(orbits, gens, terms)
+        assert algebra._stats(orbits, [T, Tstar], algebra._LAYER_TERMS[Family.T_TSTAR]), n
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -753,7 +783,7 @@ def test_every_family_forms_U_to_split_its_closure_by_layers(monkeypatch, family
     monkeypatch.setattr(OrbitBasis, "layer_projections",
                         lambda self, c: seen.append((self, c)) or real(self, c))
     for n in range(1, 5):
-        assert algebra.orbit_stats(family, n) is not None, n
+        assert algebra.orbit_stats(family, n), n
         (orbits, c), = seen
         assert expand(orbits, c) == _as_dense(op_U(n)), n
         seen.clear()
@@ -767,12 +797,12 @@ def test_the_layer_projections_need_distinct_eigenvalues_on_the_layer_keys():
     # lambda_0 = 0 has no key, and is still distinct from the others
     assert orbits.layer_projections(orbits.element([((1, 1, 1), 5), ((2, 2, 2), 7),
                                                     ((3, 3, 3), -1)])) == E
-    assert orbits.layer_projections(E[0]) is None  # lambda_1 = lambda_2 = lambda_3 = 0
-    assert orbits.layer_projections(orbits.combine([(1, U), (2, E[1])])) is None  # 3, 3, -1, -3
-    assert orbits.layer_projections(orbits.combine([(1, U), (1, orbits.element([
-        ((1, 1, 0), 1)]))])) is None  # a diagonal key (i, i, t) with t < i
-    assert orbits.layer_projections(orbits.combine([(1, U), (1, orbits.element([
-        ((1, 0, 0), 1)]))])) is None  # an off-diagonal key
+    for c in (E[0],  # lambda_1 = lambda_2 = lambda_3 = 0
+              orbits.combine([(1, U), (2, E[1])]),  # 3, 3, -1, -3
+              orbits.combine([(1, U), (1, orbits.element([((1, 1, 0), 1)]))]),  # (i, i, t), t < i
+              orbits.combine([(1, U), (1, orbits.element([((1, 0, 0), 1)]))])):  # off the diagonal
+        with refused("layers", 3):
+            orbits.layer_projections(c)
 
 
 @pytest.mark.parametrize("family,terms", [
@@ -785,10 +815,10 @@ def test_the_layer_certificate_is_reported(monkeypatch, capsys, family, terms):
     monkeypatch.setitem(algebra._LAYER_TERMS, family, terms)
     for n in (4, 7):
         orbits = OrbitBasis(n)
-        assert algebra._stats(orbits, algebra._orbit_generators(orbits, family), terms) \
-            is None, n
-        message = f"a certificate of the orbit path failed at n={n}"
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with refused("layers", n):
+            algebra._stats(orbits, algebra._orbit_generators(orbits, family), terms)
+        message = f"the layers certificate of the orbit path failed at n={n}"
+        with refused("layers", n):
             analyze_family(family, n)
         assert cli.main(["algebra", "--n", str(n), "--family", family.value]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
